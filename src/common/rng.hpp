@@ -12,6 +12,18 @@
 
 namespace tmemo {
 
+/// SplitMix64-style finalizer over (seed, salt): derives the seed of one
+/// component (compute unit, stream core, FPU, campaign job, fault injector)
+/// from its parent's seed and its index, so every stream is distinct and
+/// reproducible from the top-level seed alone.
+[[nodiscard]] constexpr std::uint64_t mix_seed(std::uint64_t seed,
+                                               std::uint64_t salt) noexcept {
+  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// Xorshift128+ PRNG (Vigna, 2014). Deterministic across platforms.
 class Xorshift128 {
  public:

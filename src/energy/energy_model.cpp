@@ -17,6 +17,10 @@ EnergyModel::EnergyModel(const EnergyParams& params,
              "clock-gate residual is a fraction in [0, 1]");
   TM_REQUIRE(params_.recovery_energy_factor >= 0.0,
              "recovery energy factor must be non-negative");
+  for (FpuType u : kAllFpuTypes) {
+    nominal_[static_cast<std::size_t>(u)] =
+        compute_unit_energy(u, params_.nominal_voltage);
+  }
 }
 
 EnergyPj EnergyModel::op_energy(FpuType unit, Volt v) const {
@@ -33,41 +37,13 @@ EnergyPj EnergyModel::recovery_energy(FpuType unit, Volt v) const {
   return params_.recovery_energy_factor * op_energy(unit, v);
 }
 
-EnergyPj EnergyModel::charge(const ExecutionRecord& rec, Volt v) const {
-  const EnergyPj stage = stage_energy(rec.unit, v);
-  EnergyPj total = 0.0;
-
-  // Spatial memoization: comparator always, broadcast on reuse.
-  total += params_.spatial_compare_pj *
-           static_cast<double>(rec.spatial_compares);
-  if (rec.spatial_reuse) total += params_.spatial_broadcast_pj;
-
-  // FPU datapath: active stages at full energy, gated stages at residual.
-  total += stage * static_cast<double>(rec.active_stage_cycles);
-  total += stage * params_.clock_gate_residual *
-           static_cast<double>(rec.gated_stage_cycles);
-
-  // ECU recovery (only in the {0,1} state).
-  if (rec.recovered) total += recovery_energy(rec.unit, v);
-
-  // Memoization module — at the fixed nominal supply.
-  if (rec.memo_enabled) {
-    total += params_.lut_lookup_pj * static_cast<double>(rec.lut_lookups);
-    total += params_.lut_update_pj * static_cast<double>(rec.lut_writes);
-    total += params_.memo_static_pj_per_cycle *
-             static_cast<double>(rec.latency_cycles);
-  }
-  return total;
-}
-
-EnergyPj EnergyModel::charge_baseline(const ExecutionRecord& rec,
-                                      Volt v) const {
-  // Baseline architecture: every instruction executes fully; every EDS flag
-  // triggers the ECU recovery — including errors the memoized architecture
-  // masked.
-  EnergyPj total = op_energy(rec.unit, v);
-  if (rec.timing_error) total += recovery_energy(rec.unit, v);
-  return total;
+UnitEnergy EnergyModel::compute_unit_energy(FpuType unit, Volt v) const {
+  UnitEnergy e;
+  e.op = op_energy(unit, v);
+  e.stage = stage_energy(unit, v);
+  e.gated_stage = e.stage * params_.clock_gate_residual;
+  e.recovery = recovery_energy(unit, v);
+  return e;
 }
 
 } // namespace tmemo

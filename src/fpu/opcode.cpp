@@ -2,76 +2,6 @@
 
 namespace tmemo {
 
-int opcode_arity(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kFloor:
-    case FpOpcode::kCeil:
-    case FpOpcode::kTrunc:
-    case FpOpcode::kRndNe:
-    case FpOpcode::kFract:
-    case FpOpcode::kAbs:
-    case FpOpcode::kNeg:
-    case FpOpcode::kSqrt:
-    case FpOpcode::kRsqrt:
-    case FpOpcode::kRecip:
-    case FpOpcode::kSin:
-    case FpOpcode::kCos:
-    case FpOpcode::kExp2:
-    case FpOpcode::kLog2:
-    case FpOpcode::kFp2Int:
-    case FpOpcode::kInt2Fp:
-      return 1;
-    case FpOpcode::kMulAdd:
-    case FpOpcode::kCndGe:
-      return 3;
-    default:
-      return 2;
-  }
-}
-
-FpuType opcode_unit(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kMul:
-      return FpuType::kMul;
-    case FpOpcode::kMulAdd:
-      return FpuType::kMulAdd;
-    case FpOpcode::kSqrt:
-    case FpOpcode::kRsqrt:
-      return FpuType::kSqrt;
-    case FpOpcode::kRecip:
-      return FpuType::kRecip;
-    case FpOpcode::kFp2Int:
-      return FpuType::kFp2Int;
-    case FpOpcode::kInt2Fp:
-      return FpuType::kInt2Fp;
-    case FpOpcode::kSin:
-    case FpOpcode::kCos:
-      return FpuType::kTrig;
-    case FpOpcode::kExp2:
-    case FpOpcode::kLog2:
-      return FpuType::kExpLog;
-    default:
-      // add/sub, compares, min/max, rounding, abs/neg, conditional move all
-      // share the adder/compare datapath.
-      return FpuType::kAdd;
-  }
-}
-
-bool opcode_commutative(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kAdd:
-    case FpOpcode::kMul:
-    case FpOpcode::kMulAdd: // the a*b multiplicand pair commutes
-    case FpOpcode::kMin:
-    case FpOpcode::kMax:
-    case FpOpcode::kSetE:
-    case FpOpcode::kSetNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string_view opcode_name(FpOpcode op) noexcept {
   switch (op) {
     case FpOpcode::kAdd:    return "ADD";
@@ -118,24 +48,6 @@ std::string_view fpu_type_name(FpuType t) noexcept {
     case FpuType::kExpLog: return "EXPLOG";
   }
   return "?";
-}
-
-bool fpu_type_is_transcendental(FpuType t) noexcept {
-  switch (t) {
-    case FpuType::kSqrt:
-    case FpuType::kRecip:
-    case FpuType::kTrig:
-    case FpuType::kExpLog:
-      return true;
-    default:
-      return false;
-  }
-}
-
-int fpu_latency_cycles(FpuType t) noexcept {
-  // Paper §5.1: "the RECIP has a latency of 16 cycles, while the rest of the
-  // FPU have four cycles latency."
-  return t == FpuType::kRecip ? 16 : 4;
 }
 
 } // namespace tmemo

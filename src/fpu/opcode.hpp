@@ -81,17 +81,70 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
     FpuType::kRecip,  FpuType::kMulAdd, FpuType::kFp2Int,
 };
 
+namespace detail {
+
+/// Static properties of one opcode, indexed by FpOpcode.
+struct OpcodeProps {
+  std::uint8_t arity;
+  FpuType unit;
+  bool commutative;
+};
+
+// add/sub, compares, min/max, rounding, abs/neg and the conditional move
+// all share the adder/compare datapath.
+inline constexpr std::array<OpcodeProps, kNumFpOpcodes> kOpcodeProps = {{
+    {2, FpuType::kAdd, true},      // ADD
+    {2, FpuType::kAdd, false},     // SUB
+    {2, FpuType::kMul, true},      // MUL
+    {3, FpuType::kMulAdd, true},   // MULADD: the a*b multiplicand pair
+    {2, FpuType::kAdd, true},      // MIN
+    {2, FpuType::kAdd, true},      // MAX
+    {1, FpuType::kAdd, false},     // FLOOR
+    {1, FpuType::kAdd, false},     // CEIL
+    {1, FpuType::kAdd, false},     // TRUNC
+    {1, FpuType::kAdd, false},     // RNDNE
+    {1, FpuType::kAdd, false},     // FRACT
+    {1, FpuType::kAdd, false},     // ABS
+    {1, FpuType::kAdd, false},     // NEG
+    {1, FpuType::kSqrt, false},    // SQRT
+    {1, FpuType::kSqrt, false},    // RSQRT
+    {1, FpuType::kRecip, false},   // RECIP
+    {1, FpuType::kTrig, false},    // SIN
+    {1, FpuType::kTrig, false},    // COS
+    {1, FpuType::kExpLog, false},  // EXP2
+    {1, FpuType::kExpLog, false},  // LOG2
+    {1, FpuType::kFp2Int, false},  // FP2INT
+    {1, FpuType::kInt2Fp, false},  // INT2FP
+    {2, FpuType::kAdd, true},      // SETE
+    {2, FpuType::kAdd, false},     // SETGT
+    {2, FpuType::kAdd, false},     // SETGE
+    {2, FpuType::kAdd, true},      // SETNE
+    {3, FpuType::kAdd, false},     // CNDGE
+}};
+
+[[nodiscard]] constexpr const OpcodeProps& props(FpOpcode op) noexcept {
+  return kOpcodeProps[static_cast<std::size_t>(op)];
+}
+
+} // namespace detail
+
 /// Number of float source operands the opcode consumes (1..3).
-[[nodiscard]] int opcode_arity(FpOpcode op) noexcept;
+[[nodiscard]] constexpr int opcode_arity(FpOpcode op) noexcept {
+  return detail::props(op).arity;
+}
 
 /// Physical FPU type that executes the opcode.
-[[nodiscard]] FpuType opcode_unit(FpOpcode op) noexcept;
+[[nodiscard]] constexpr FpuType opcode_unit(FpOpcode op) noexcept {
+  return detail::props(op).unit;
+}
 
 /// True when swapping the first two operands cannot change the result
 /// (ADD, MUL, MIN, MAX, SETE, SETNE, and the multiplicand pair of MULADD).
 /// The LUT comparators exploit this (paper §4.2: "allow commutativity of
 /// the operands where applicable").
-[[nodiscard]] bool opcode_commutative(FpOpcode op) noexcept;
+[[nodiscard]] constexpr bool opcode_commutative(FpOpcode op) noexcept {
+  return detail::props(op).commutative;
+}
 
 /// Mnemonic, e.g. "MULADD".
 [[nodiscard]] std::string_view opcode_name(FpOpcode op) noexcept;
@@ -101,12 +154,17 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
 
 /// True for units that live on the transcendental (T) processing element of
 /// a stream core; all other units are replicated across the X/Y/Z/W PEs.
-[[nodiscard]] bool fpu_type_is_transcendental(FpuType t) noexcept;
+[[nodiscard]] constexpr bool fpu_type_is_transcendental(FpuType t) noexcept {
+  return t == FpuType::kSqrt || t == FpuType::kRecip || t == FpuType::kTrig ||
+         t == FpuType::kExpLog;
+}
 
 /// Pipeline depth in cycles at the signoff frequency. Per the paper (§5.1):
 /// every Evergreen ALU functional unit has a latency of four cycles and a
 /// throughput of one instruction per cycle, except RECIP which is pipelined
 /// to 16 stages to balance the clock across the FP pipelines.
-[[nodiscard]] int fpu_latency_cycles(FpuType t) noexcept;
+[[nodiscard]] constexpr int fpu_latency_cycles(FpuType t) noexcept {
+  return t == FpuType::kRecip ? 16 : 4;
+}
 
 } // namespace tmemo

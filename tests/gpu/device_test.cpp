@@ -94,15 +94,6 @@ TEST(GpuDevice, LutPreloadOnlyReachesMatchingUnits) {
   });
 }
 
-TEST(GpuDevice, SetLutDepthRebuilds) {
-  GpuDevice device = small_device();
-  device.set_lut_depth(8);
-  EXPECT_EQ(device.config().fpu.lut_depth, 8);
-  device.compute_unit(0).for_each_fpu([](const ResilientFpu& f) {
-    EXPECT_EQ(f.lut().depth(), 8);
-  });
-}
-
 TEST(GpuDevice, StatsAggregateAcrossLaunch) {
   GpuDevice device = small_device();
   launch(device, 256, [](WavefrontCtx& wf) {
