@@ -120,6 +120,8 @@ std::vector<TraceEvent> load_trace(std::istream& is, const std::string& path) {
     read_pod(is, ev.work_item);
     read_pod(is, ev.operands);
     TM_REQUIRE(is.good(), "truncated trace file: " + path);
+    TM_REQUIRE(ev.opcode < kNumFpOpcodes && ev.unit < kNumFpuTypes,
+               "trace event with an unknown opcode or unit: " + path);
     events.push_back(ev);
   }
   return events;
