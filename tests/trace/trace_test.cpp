@@ -153,6 +153,15 @@ TEST(TraceIo, RejectsTruncatedAndOversizedHeaders) {
     EXPECT_THROW((void)load_trace(path), std::invalid_argument);
   }
 
+  // An event whose opcode or unit byte names no modeled opcode / FPU type
+  // (the first two bytes of the event, which follows the 16-byte header).
+  for (const std::size_t at : {16u, 17u}) {
+    std::string bad = valid;
+    bad[at] = '\x7f';
+    write_bytes(bad);
+    EXPECT_THROW((void)load_trace(path), std::invalid_argument);
+  }
+
   // The unmutated bytes still load.
   write_bytes(valid);
   EXPECT_EQ(load_trace(path).size(), 1u);
