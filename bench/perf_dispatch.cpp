@@ -1,5 +1,5 @@
 // Dispatch-fabric throughput: the same campaign grid run under the three
-// isolation modes (thread pool, forked pipe workers, remote TCP workers on
+// isolation modes (thread pool, forked local workers, remote TCP workers on
 // loopback), reported as jobs/sec so the fabric overhead is a number the CI
 // history can watch. The remote mode binds an OS-chosen port and fork()s
 // its workerd children exactly like the loopback e2e tests, so the bench
@@ -95,7 +95,7 @@ ModeSample time_campaign(const std::string& mode, const SweepSpec& spec,
 
 /// Forks a workerd child serving `spec` against the loopback supervisor;
 /// the child inherits the bench's WorkloadFactory through the address
-/// space, exactly like the process pool's pipe workers.
+/// space, exactly like the process pool's local workers.
 pid_t fork_workerd(const SweepSpec& spec, std::uint16_t port) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;

@@ -3,11 +3,11 @@
 // write_pod/read_pod are the repo's only sanctioned reinterpret_cast type
 // punning (lint rule R3): everything else must use tmemo::float_to_bits /
 // std::bit_cast. They started life inside src/trace/trace.cpp; the campaign
-// supervisor's worker pipe protocol (sim/worker_proc.cpp) serializes its
-// length-prefixed messages through the same pair, so they live here now.
+// worker protocol (net/frame.hpp) serializes its length-prefixed messages
+// through the same pair, so they live here now.
 //
-// Byte order is host order — both consumers (trace files, supervisor<->
-// worker pipes) are same-machine channels.
+// Byte order is host order — trace files and local worker sockets are
+// same-machine channels, and the TCP fabric assumes a same-ABI cluster.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,9 @@
 
 namespace tmemo {
 
-/// Length prefix of every pipe frame (the worker protocol in
-/// sim/worker_proc.cpp): one fixed-width field, so both ends of the pipe —
-/// and, once the campaign fabric goes distributed, both ends of a socket —
-/// agree on the frame boundary byte-for-byte.
+/// Length prefix of every worker-protocol frame (net/frame.hpp): one
+/// fixed-width field, so both ends of a local socketpair or a TCP
+/// connection agree on the frame boundary byte-for-byte.
 struct FrameHeader {
   std::uint32_t len = 0;  ///< payload byte count, host order
 };

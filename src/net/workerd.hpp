@@ -9,7 +9,9 @@
 // goodbye) until the supervisor says goodbye, a drain is requested, or the
 // connection dies. It is a library function, not a main(), so the loopback
 // e2e tests can fork() a child that inherits a custom WorkloadFactory and
-// call it directly, exactly like the process pool forks pipe workers.
+// call it directly, exactly like the process pool forks local workers.
+// After registration it runs serve_worker_session (sim/worker_proc.hpp),
+// the same session loop a forked local worker runs.
 //
 // Resilience model (docs/RESILIENCE.md):
 //  - A workerd that dies mid-job simply vanishes from the supervisor's

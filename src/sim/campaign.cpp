@@ -52,14 +52,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Shortest round-trippable decimal form of a double.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  TM_REQUIRE(ec == std::errc{}, "double formatting");
-  return std::string(buf, ptr);
-}
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -253,6 +245,13 @@ bool write_fd_all(int fd, const char* data, std::size_t size) {
 }
 
 } // namespace
+
+std::string fmt_double(double v) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  TM_REQUIRE(ec == std::errc{}, "double formatting");
+  return std::string(buf, ptr);
+}
 
 CampaignJournalWriter::~CampaignJournalWriter() { close(); }
 
@@ -1015,16 +1014,9 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
   // Each worker owns a private workload set, so jobs never share mutable
   // state; results land in distinct slots, so only the journal needs a lock.
   const auto worker = [&]() {
-    std::vector<std::unique_ptr<Workload>> workloads;
     std::string setup_error;
-    try {
-      workloads =
-          spec.factory ? spec.factory() : make_all_workloads(spec.scale);
-    } catch (const std::exception& e) {
-      setup_error = std::string("workload setup failed: ") + e.what();
-    } catch (...) {
-      setup_error = "workload setup failed: unknown exception";
-    }
+    std::vector<std::unique_ptr<Workload>> workloads =
+        make_worker_workloads(spec, setup_error);
 
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -1036,36 +1028,8 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
         resumed.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      out.job = jobs[i];
-      const auto job_start = wall_now();
-      if (!setup_error.empty()) {
-        // Setup failures are environmental, not per-job: never retried.
-        out.error = setup_error;
-      } else if (jobs[i].workload_index >= workloads.size()) {
-        out.error = "workload factory returned fewer workloads than expected";
-      } else {
-        for (int attempt = 1;; ++attempt) {
-          out.attempts = attempt;
-          out.ok = false;
-          out.error.clear();
-          try {
-            const ExperimentConfig& config =
-                spec.variants.empty()
-                    ? ExperimentConfig{}
-                    : spec.variants[jobs[i].variant_index].config;
-            const Simulation sim(config);
-            out.report =
-                sim.run(*workloads[jobs[i].workload_index], jobs[i].spec);
-            out.ok = true;
-          } catch (const std::exception& e) {
-            out.error = e.what();
-          } catch (...) {
-            out.error = "unknown exception";
-          }
-          if (out.ok || attempt >= options.max_attempts) break;
-        }
-      }
-      out.wall_ms = elapsed_ms(job_start);
+      out = run_dispatched_job(spec, jobs, i, 1, options.max_attempts,
+                               std::nullopt, workloads, setup_error);
       if (options.job_timeout_ms > 0.0 &&
           out.wall_ms > options.job_timeout_ms) {
         // Cooperative timeout: the run already finished (a worker thread
@@ -1106,10 +1070,9 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
     req.max_attempts = options.max_attempts;
     req.job_timeout_ms = options.job_timeout_ms;
     req.inject_crash = options.inject_worker_crash;
-    req.want_metrics = spec.metrics || spec.timeline;
     req.want_timeline = spec.timeline;
     if (options.isolation == IsolationMode::kRemote) {
-      // Socket workers do the heavy lifting; forked pipe workers join the
+      // TCP workers do the heavy lifting; forked local workers join the
       // same loop only when explicitly asked for.
       req.workers = std::max(0, options.remote_local_workers);
       req.campaign_digest = campaign_wire_digest(spec);
@@ -1195,7 +1158,7 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
       if (j.ok && j.job.index == 0) result.timeline = j.report.timeline;
     }
     if (supervised && spec.timeline) {
-      // A job's event timeline cannot cross the worker pipe (only metrics
+      // A job's event timeline cannot cross the worker socket (only metrics
       // snapshots do); the supervisor's own lifecycle timeline stands in.
       result.timeline = supervisor_timeline;
     }

@@ -236,8 +236,8 @@ enum class IsolationMode {
   /// Jobs run on in-process worker threads (the default): fastest, but a
   /// segfault/abort()/OOM-kill in one job takes the whole campaign with it.
   kThread,
-  /// Jobs run in forked worker processes supervised over a pipe protocol
-  /// (sim/worker_proc.hpp): a hard fault in one job becomes a failed
+  /// Jobs run in forked worker processes, each supervised over its own
+  /// socketpair (sim/worker_proc.hpp): a hard fault in one job becomes a failed
   /// JobResult with the decoded cause while every other job completes, and
   /// the job timeout becomes a hard SIGKILL. Results are bit-identical to
   /// thread isolation (wall_ms aside). POSIX only.
@@ -291,7 +291,7 @@ struct CampaignRunOptions {
   /// listener in). Not owned; must outlive the run. Overrides
   /// listen_address.
   net::Listener* listener = nullptr;
-  /// Remote isolation only: forked pipe workers to run alongside the socket
+  /// Remote isolation only: forked local workers to run alongside the TCP
   /// workers in the same supervisor loop (0 = serve remote workers only).
   int remote_local_workers = 0;
   /// Remote isolation only: idle socket workers are pinged every this many
@@ -305,8 +305,9 @@ struct CampaignRunOptions {
   /// Remote isolation only: how long a pinged worker has to pong.
   int keepalive_timeout_ms = 2000;
   /// Deterministic network fault injection on the supervisor's outgoing
-  /// frames to socket workers (--inject-net; net/fault.hpp grammar).
-  /// Remote isolation only; exists to chaos-test the fabric.
+  /// frames to TCP workers (--inject-net; net/fault.hpp grammar); local
+  /// forked workers are never injected. Remote isolation only; exists to
+  /// chaos-test the fabric.
   std::optional<net::NetFaultSpec> inject_net;
   /// Append-only journal path; empty disables journaling. Every finished
   /// job is serialized and flushed as one RFC-4180 CSV record, so a killed
@@ -490,8 +491,12 @@ class CampaignJournalWriter {
 /// Serializes one JobResult as a journal CSV record (trailing '\n'
 /// included). Every numeric field uses round-trippable formatting, so
 /// parse_job_result restores it bit-identically. This row format doubles as
-/// the worker pipe protocol's result payload (sim/worker_proc.cpp).
+/// the worker protocol's result payload (sim/worker_proc.cpp).
 [[nodiscard]] std::string serialize_job_result(const JobResult& result);
+
+/// Shortest round-trippable decimal form of a double (std::to_chars): the
+/// number format of the grid, the journal and the timeout messages.
+[[nodiscard]] std::string fmt_double(double v);
 
 /// Restores a JobResult from the fields of one journal record. Only
 /// job.index and the measured fields are restored (the caller re-derives

@@ -1,6 +1,6 @@
 // Bad fixture for the R10 (syscall-discipline) socket extension: the rule
 // engages on src/net/ paths and covers the TCP fabric's syscalls. Expected:
-// 9 findings, 1 suppressed.
+// 10 findings, 1 suppressed.
 #include <cerrno>
 
 extern "C" {
@@ -65,6 +65,7 @@ extern "C" {
 int poll(void*, unsigned long, int);
 int getsockopt(int, int, int, void*, unsigned*);
 int shutdown(int, int);
+int socketpair(int, int, int, int*);
 }
 
 namespace fixture {
@@ -84,6 +85,12 @@ void bad_getsockopt(int fd, int* so_error, unsigned* len) {
 // Discarded ::shutdown result: 1 finding.
 void bad_shutdown(int fd) {
   ::shutdown(fd, 2);
+}
+
+// Discarded ::socketpair result (a failed local-worker spawn must not read
+// as two usable fds): 1 finding.
+void bad_socketpair(int* sv) {
+  ::socketpair(1, 1, 0, sv);
 }
 
 } // namespace fixture

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -184,6 +185,36 @@ TEST(ProcessIsolation, CleanFailureAttemptsMatchThreadIsolation) {
   EXPECT_EQ(csv_without_wall(procs), csv_without_wall(threads));
 }
 
+TEST(ProcessIsolation, WorkloadSetupFailureMatchesThreadIsolation) {
+  // The factory succeeds once — CampaignEngine::expand sizes the grid with
+  // it — and throws in every worker, so each job takes the workload-setup
+  // failure path: recorded once, never retried, not a crash.
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  SweepSpec spec = haar_spec(2);
+  spec.factory = [calls, inner = spec.factory] {
+    if (calls->fetch_add(1) > 0) throw std::runtime_error("no device");
+    return inner();
+  };
+  CampaignRunOptions thread_options;
+  thread_options.max_attempts = 3;
+  CampaignRunOptions proc_opts = process_options();
+  proc_opts.max_attempts = 3;
+  calls->store(0);
+  const CampaignResult threads = CampaignEngine(2).run(spec, thread_options);
+  calls->store(0);
+  const CampaignResult procs = CampaignEngine(2).run(spec, proc_opts);
+  for (const CampaignResult* res : {&threads, &procs}) {
+    ASSERT_EQ(res->jobs.size(), 2u);
+    for (const JobResult& j : res->jobs) {
+      EXPECT_FALSE(j.ok);
+      EXPECT_EQ(j.error.rfind("workload setup failed: ", 0), 0u) << j.error;
+      EXPECT_EQ(j.attempts, 1);
+    }
+    EXPECT_EQ(res->worker_stats.crashes, 0u);
+  }
+  EXPECT_EQ(csv_without_wall(procs), csv_without_wall(threads));
+}
+
 // -- Crash containment --------------------------------------------------------
 
 TEST(ProcessIsolation, SegfaultIsContainedWithDecodedSignalName) {
@@ -292,6 +323,25 @@ TEST(ProcessIsolation, HardTimeoutKillsTheWorker) {
       << res.jobs[0].error;
   EXPECT_EQ(res.worker_stats.timeout_kills, 1u);
   EXPECT_EQ(res.worker_stats.redispatches, 0u);
+}
+
+TEST(ProcessIsolation, TimeoutMessageFormatsTheBudgetAlikeInEveryMode) {
+  // Whichever path classifies the timeout — the thread pool's cooperative
+  // check, the supervisor's late-result check or its SIGKILL — the budget
+  // is printed in the grid's shortest round-trip form.
+  const SweepSpec spec = haar_spec(2);
+  CampaignRunOptions thread_options;
+  thread_options.job_timeout_ms = 0.1234567;
+  CampaignRunOptions proc_opts = process_options();
+  proc_opts.job_timeout_ms = 0.1234567;
+  for (const CampaignRunOptions* options : {&thread_options, &proc_opts}) {
+    const CampaignResult res = CampaignEngine(1).run(spec, *options);
+    ASSERT_EQ(res.jobs.size(), 2u);
+    for (const JobResult& j : res.jobs) {
+      EXPECT_TRUE(j.timed_out);
+      EXPECT_NE(j.error.find("0.1234567 ms"), std::string::npos) << j.error;
+    }
+  }
 }
 
 // -- Resume after a crashed campaign ------------------------------------------
