@@ -17,85 +17,6 @@ ComputeUnit::ComputeUnit(const DeviceConfig& config, std::uint64_t seed)
   }
 }
 
-template <typename Charge>
-void ComputeUnit::issue_lanes(FpOpcode op, StaticInstrId static_id,
-                              const float* a, const float* b, const float* c,
-                              std::uint64_t active_mask,
-                              WorkItemId base_work_item,
-                              const TimingErrorModel& errors, float* results,
-                              Charge&& charge) {
-  // Spatial memoization (reference [20]): the first active lane is the
-  // master; subsequent lanes whose operands match it under the spatial
-  // constraint reuse its broadcast result without touching their FPUs.
-  SpatialMaster master;
-  const FpuType unit = opcode_unit(op);
-  const int arity = opcode_arity(op);
-  SpatialStats& sstats = spatial_stats_[static_cast<std::size_t>(unit)];
-
-  const int lanes_per_sub = static_cast<int>(cores_.size());
-  for (int sub = 0; sub < subwavefronts_; ++sub) {
-    for (int sc = 0; sc < lanes_per_sub; ++sc) {
-      const int lane = sub * lanes_per_sub + sc;
-      if (lane >= wavefront_size_) break;
-      if ((active_mask & (1ull << lane)) == 0) continue;
-
-      const FpInstruction ins{
-          op,
-          {a[lane], arity >= 2 ? b[lane] : 0.0f, arity >= 3 ? c[lane] : 0.0f},
-          base_work_item + static_cast<WorkItemId>(lane),
-          static_id};
-
-      if (spatial_ && master.armed()) {
-        ++sstats.comparisons;
-        if (master.matches(ins, spatial_constraint_)) {
-          ++sstats.reuses;
-          // The lane's FPU is fully clock-gated; the master's committed
-          // (exact) value arrives over the broadcast network. A timing
-          // error that WOULD have occurred on this lane is drawn anyway so
-          // the paired-baseline energy comparison stays exact; the spatial
-          // reuse masks it by construction.
-          ExecutionRecord rec;
-          rec.unit = unit;
-          rec.opcode = op;
-          rec.work_item = ins.work_item;
-          rec.static_id = static_id;
-          rec.action = MemoAction::kReuse;
-          rec.spatial_reuse = true;
-          rec.spatial_compares = 1;
-          rec.timing_error = errors.sample_error(unit, spatial_rng_);
-          rec.error_masked = rec.timing_error;
-          rec.gated_stage_cycles = fpu_latency_cycles(unit);
-          rec.latency_cycles = fpu_latency_cycles(unit);
-          rec.result = master.result();
-          rec.exact_result = evaluate_fp_op(ins);
-          rec.operands = ins.operands;
-          results[lane] = rec.result;
-          TMEMO_TELEM(probe_,
-                      telemetry::ProbeEvent{
-                          telemetry::ProbeEvent::Kind::kSpatialReuse,
-                          static_cast<std::uint8_t>(unit), 0,
-                          static_cast<std::uint16_t>(sc), probe_cu_,
-                          static_cast<std::uint64_t>(rec.latency_cycles)});
-          charge(rec);
-          continue;
-        }
-      }
-
-      ExecutionRecord rec =
-          cores_[static_cast<std::size_t>(sc)].execute(ins, errors);
-      if (spatial_) {
-        if (master.armed()) rec.spatial_compares = 1; // compared and missed
-        // Committed values are exact on the non-reuse path only when the
-        // temporal LUT did not approximate; arm the master with whatever
-        // was committed — reusing lanes must mirror the architecture.
-        if (!master.armed()) master.arm(ins, rec.result);
-      }
-      results[lane] = rec.result;
-      charge(rec);
-    }
-  }
-}
-
 void ComputeUnit::execute_wavefront_op(
     FpOpcode op, StaticInstrId static_id, const float* a, const float* b,
     const float* c, std::uint64_t active_mask, WorkItemId base_work_item,
@@ -116,16 +37,88 @@ void ComputeUnit::execute_wavefront_op(
                   static_cast<std::uint64_t>(
                       std::popcount(active_mask & lane_mask))});
 
-  // With no observer attached the launch hands over the device's own
-  // accumulator: charge it directly rather than through consume().
-  if (auto* acc = dynamic_cast<EnergyAccumulator*>(sink)) {
-    issue_lanes(op, static_id, a, b, c, active_mask, base_work_item, errors,
-                results, [acc](const ExecutionRecord& r) { acc->charge(r); });
-  } else {
-    issue_lanes(op, static_id, a, b, c, active_mask, base_work_item, errors,
-                results, [sink](const ExecutionRecord& r) {
-                  if (sink != nullptr) sink->consume(r);
-                });
+  // Fixed for the whole vector instruction: its error probability, its
+  // pipeline depth and the FPU it is steered to on every stream core. With
+  // no observer attached the launch hands over the device's own
+  // accumulator, which charges clean lanes from its table; every other lane
+  // builds a record for the sink.
+  const double p_error = errors.op_error_probability(unit);
+  const std::size_t fpu = StreamCore::fpu_index(unit, static_id);
+  auto* const acc = dynamic_cast<EnergyAccumulator*>(sink);
+  const int depth = fpu_latency_cycles(unit);
+
+  // Spatial memoization (reference [20]): the first active lane is the
+  // master; subsequent lanes whose operands match it under the spatial
+  // constraint reuse its broadcast result without touching their FPUs.
+  SpatialMaster master;
+  SpatialStats& sstats = spatial_stats_[static_cast<std::size_t>(unit)];
+
+  const int lanes_per_sub = static_cast<int>(cores_.size());
+  for (int sub = 0; sub < subwavefronts_; ++sub) {
+    for (int sc = 0; sc < lanes_per_sub; ++sc) {
+      const int lane = sub * lanes_per_sub + sc;
+      if (lane >= wavefront_size_) break;
+      if ((active_mask & (1ull << lane)) == 0) continue;
+
+      const FpInstruction ins{
+          op,
+          {a[lane], arity >= 2 ? b[lane] : 0.0f, arity >= 3 ? c[lane] : 0.0f},
+          base_work_item + static_cast<WorkItemId>(lane),
+          static_id};
+
+      int spatial_compares = 0;  // 1: compared against the master
+      if (spatial_ && master.armed()) {
+        ++sstats.comparisons;
+        spatial_compares = 1;
+        if (master.matches(ins, spatial_constraint_)) {
+          ++sstats.reuses;
+          // The lane's FPU is fully clock-gated; the master's committed
+          // (exact) value arrives over the broadcast network. A timing
+          // error that WOULD have occurred on this lane is drawn anyway so
+          // the paired-baseline energy comparison stays exact; the spatial
+          // reuse masks it by construction.
+          ExecutionRecord rec;
+          rec.unit = unit;
+          rec.opcode = op;
+          rec.work_item = ins.work_item;
+          rec.static_id = static_id;
+          rec.action = MemoAction::kReuse;
+          rec.spatial_reuse = true;
+          rec.spatial_compares = 1;
+          rec.timing_error = spatial_rng_.bernoulli(p_error);
+          rec.error_masked = rec.timing_error;
+          rec.gated_stage_cycles = depth;
+          rec.latency_cycles = depth;
+          rec.result = master.result();
+          rec.exact_result = evaluate_fp_op(ins);
+          rec.operands = ins.operands;
+          results[lane] = rec.result;
+          TMEMO_TELEM(probe_,
+                      telemetry::ProbeEvent{
+                          telemetry::ProbeEvent::Kind::kSpatialReuse,
+                          static_cast<std::uint8_t>(unit), 0,
+                          static_cast<std::uint16_t>(sc), probe_cu_,
+                          static_cast<std::uint64_t>(rec.latency_cycles)});
+          if (sink != nullptr) sink->consume(rec);
+          continue;
+        }
+      }
+
+      const LaneOutcome out =
+          cores_[static_cast<std::size_t>(sc)].fpu_at(fpu).step(ins, p_error);
+      // Committed values are exact on the non-reuse path only when the
+      // temporal LUT did not approximate; arm the master with whatever was
+      // committed — reusing lanes must mirror the architecture.
+      if (spatial_ && !master.armed()) master.arm(ins, out.result);
+      results[lane] = out.result;
+      if (acc != nullptr && spatial_compares == 0 && out.clean()) {
+        acc->charge_clean(unit, out);
+      } else if (sink != nullptr) {
+        ExecutionRecord rec = out.record(unit, ins);
+        rec.spatial_compares = spatial_compares;
+        sink->consume(rec);
+      }
+    }
   }
 }
 

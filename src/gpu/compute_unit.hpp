@@ -33,13 +33,16 @@ class ExecutionSink {
   virtual void consume(const ExecutionRecord& record) = 0;
 };
 
-/// Per-unit-type and overall energy accumulation. Every record is charged
+/// Per-unit-type and overall energy accumulation. Every op is charged
 /// twice — once for the memoized architecture, once for the baseline — so a
 /// single simulation yields a paired comparison with identical error draws.
-/// The per-unit energies at the FPU supply are computed when it is set. With
-/// no observer attached, ComputeUnit::execute_wavefront_op receives the
-/// accumulator itself and calls charge() directly; observers (trace writer,
-/// performance model) forward each record here through consume().
+/// Setting the FPU supply tabulates, per unit, both charges of the three
+/// clean outcomes (hit, miss with LUT write, module off) through the same
+/// EnergyModel::charge/charge_baseline that charge() calls on a record.
+/// With no observer attached, ComputeUnit::execute_wavefront_op receives
+/// the accumulator itself: clean lanes are charged from the table with
+/// charge_clean() and every other lane through a record; observers (trace
+/// writer, performance model) forward each record here through consume().
 class EnergyAccumulator final : public ExecutionSink {
  public:
   explicit EnergyAccumulator(const EnergyModel& model) : model_(model) {
@@ -54,12 +57,27 @@ class EnergyAccumulator final : public ExecutionSink {
     per_unit_[u].baseline_pj += model_.charge_baseline(rec, at_supply_[u]);
   }
 
+  /// Charges one clean lane outcome (LaneOutcome::clean()) of a `unit` FPU
+  /// that no spatial comparator touched: the same sums charge() would add
+  /// for its record.
+  void charge_clean(FpuType unit, const LaneOutcome& out) noexcept {
+    const auto u = static_cast<std::size_t>(unit);
+    per_unit_[u] += clean_[u][clean_index(out)];
+  }
+
   /// FPU supply voltage the records are charged at (the memoization module
   /// itself always stays at the nominal supply).
   void set_supply(Volt v) {
     supply_ = v;
     for (FpuType u : kAllFpuTypes) {
-      at_supply_[static_cast<std::size_t>(u)] = model_.unit_energy(u, v);
+      const auto ui = static_cast<std::size_t>(u);
+      at_supply_[ui] = model_.unit_energy(u, v);
+      for (const LaneOutcome& out : kCleanOutcomes) {
+        const ExecutionRecord rec = out.record(u, FpInstruction{});
+        clean_[ui][clean_index(out)] = {
+            model_.charge(rec, at_supply_[ui]),
+            model_.charge_baseline(rec, at_supply_[ui])};
+      }
     }
   }
   [[nodiscard]] Volt supply() const noexcept { return supply_; }
@@ -77,9 +95,23 @@ class EnergyAccumulator final : public ExecutionSink {
   void reset() noexcept { per_unit_ = {}; }
 
  private:
+  /// Hit, miss with LUT write, module off.
+  static constexpr std::array<LaneOutcome, 3> kCleanOutcomes = {{
+      {.action = MemoAction::kReuse, .memo_enabled = true},
+      {.action = MemoAction::kNormalExecution, .memo_enabled = true},
+      {.action = MemoAction::kNormalExecution, .memo_enabled = false},
+  }};
+  /// Arithmetic rather than branches: hit or miss is data-dependent.
+  static constexpr std::size_t clean_index(const LaneOutcome& out) noexcept {
+    return static_cast<std::size_t>(out.action != MemoAction::kReuse) *
+           (out.memo_enabled ? 1u : 2u);
+  }
+
   EnergyModel model_;
   Volt supply_ = 0.0;
   std::array<UnitEnergy, kNumFpuTypes> at_supply_{};
+  std::array<std::array<EnergyTotals, kCleanOutcomes.size()>, kNumFpuTypes>
+      clean_{};
   std::array<EnergyTotals, kNumFpuTypes> per_unit_{};
 };
 
@@ -138,13 +170,6 @@ class ComputeUnit {
   void reset_spatial_stats() noexcept { spatial_stats_ = {}; }
 
  private:
-  /// The lane loop of execute_wavefront_op; `charge` receives every record.
-  template <typename Charge>
-  void issue_lanes(FpOpcode op, StaticInstrId static_id, const float* a,
-                   const float* b, const float* c, std::uint64_t active_mask,
-                   WorkItemId base_work_item, const TimingErrorModel& errors,
-                   float* results, Charge&& charge);
-
   int wavefront_size_;
   int subwavefronts_;
   std::vector<StreamCore> cores_;

@@ -16,16 +16,9 @@ ResilientFpu::ResilientFpu(FpuType unit, const ResilientFpuConfig& config)
   lut_.set_parity_protected(config.inject.lut.parity);
 }
 
-ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
-                                      const TimingErrorModel& errors) {
-  ExecutionRecord rec;
-  rec.unit = unit_;
-  rec.opcode = ins.opcode;
-  rec.work_item = ins.work_item;
-  rec.static_id = ins.static_id;
-  rec.operands = ins.operands;
-  rec.exact_result = evaluate_fp_op(ins);
-  rec.memo_enabled = !power_gated_ && regs_.enabled();
+LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
+  LaneOutcome out;
+  out.memo_enabled = !power_gated_ && regs_.enabled();
 
   // 0. Fault environment for this op. The SEU process advances by this
   //    op's pipeline occupancy; a tripped watchdog applies its degradation
@@ -33,13 +26,15 @@ ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
   //    behind injection-on checks, so the fault-free path is unchanged.
   const bool storm = faults_armed_ && ecu_.storm_tripped();
   if (storm &&
-      ecu_.watchdog().action == inject::WatchdogAction::kDisableMemoization) {
-    rec.memo_enabled = false;
+      ecu_.watchdog().action == inject::WatchdogAction::kDisableMemoization)
+      [[unlikely]] {
+    out.memo_enabled = false;
   }
-  if (faults_armed_ && injector_.config().enabled() && !power_gated_) {
+  if (faults_armed_ && injector_.config().enabled() && !power_gated_)
+      [[unlikely]] {
     const int flips = injector_.advance(lut_, depth_);
     if (flips > 0) {
-      rec.lut_seu_flips = flips;
+      out.lut_seu_flips = flips;
       stats_.seu_flips += static_cast<std::uint64_t>(flips);
       probe(telemetry::ProbeEvent::Kind::kLutSeuFlip,
             static_cast<std::uint64_t>(flips));
@@ -48,21 +43,17 @@ ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
 
   // 1. LUT lookup, performed in parallel with the first FPU stage.
   MemoLut::LookupResult memorized;
-  if (rec.memo_enabled) {
+  if (out.memo_enabled) {
     const std::uint64_t parity_before = lut_.stats().parity_invalidations;
     memorized = lut_.lookup_checked(ins, regs_.constraint());
-    rec.lut_lookups = 1;
     const std::uint64_t dropped =
         lut_.stats().parity_invalidations - parity_before;
-    if (dropped > 0) {
+    if (dropped > 0) [[unlikely]] {
       stats_.parity_invalidations += dropped;
       probe(telemetry::ProbeEvent::Kind::kLutParityDrop, dropped);
     }
-  }
-  rec.lut_hit = memorized.hit;
-  if (rec.lut_lookups > 0) {
-    probe(rec.lut_hit ? telemetry::ProbeEvent::Kind::kLutHit
-                      : telemetry::ProbeEvent::Kind::kLutMiss);
+    probe(memorized.hit ? telemetry::ProbeEvent::Kind::kLutHit
+                        : telemetry::ProbeEvent::Kind::kLutMiss);
   }
 
   // 2. EDS sensors sample the datapath. On a hit the remaining stages are
@@ -75,44 +66,41 @@ ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
   const bool guardband_raised =
       storm &&
       ecu_.watchdog().action == inject::WatchdogAction::kRaiseGuardband;
-  if (!guardband_raised) eds = eds_.observe(errors);
-  rec.timing_error = eds.error;
-  if (eds.false_negative) {
-    rec.eds_false_negative = true;
+  if (!guardband_raised) eds = eds_.observe(p_error);
+  if (eds.false_negative) [[unlikely]] {
+    out.eds_false_negative = true;
     ++stats_.eds_false_negatives;
     probe(telemetry::ProbeEvent::Kind::kEdsFalseNegative);
   }
-  if (eds.false_positive) {
-    rec.eds_false_positive = true;
+  if (eds.false_positive) [[unlikely]] {
+    out.eds_false_positive = true;
     ++stats_.eds_false_positives;
     probe(telemetry::ProbeEvent::Kind::kEdsFalsePositive);
   }
-  if (rec.timing_error) probe(telemetry::ProbeEvent::Kind::kEdsError);
+  if (eds.error) probe(telemetry::ProbeEvent::Kind::kEdsError);
 
   // 3. Table-2 decision, driven by the *observed* flag: a false negative
   //    behaves like a clean pass, a false positive like a real violation.
-  rec.action = memo_action(rec.lut_hit, rec.timing_error);
+  out.action = memo_action(memorized.hit, eds.error);
 
-  switch (rec.action) {
+  switch (out.action) {
     case MemoAction::kNormalExecution: {
-      rec.result = rec.exact_result;
-      if (eds.false_negative) {
+      out.result = evaluate_fp_op(ins);
+      if (eds.false_negative) [[unlikely]] {
         // The violation was real but the flag never reached the ECU: the
         // errant datapath value commits silently. One fraction bit of the
         // exact result latches wrong, and — worse — the corrupted value is
         // what W_en memorizes, so later hits replay the corruption.
-        rec.result = inject::flip_random_fraction_bit(rec.exact_result,
-                                                      injector_.rng());
-        rec.sdc = true;
+        out.result =
+            inject::flip_random_fraction_bit(out.result, injector_.rng());
+        out.sdc = true;
       }
-      rec.active_stage_cycles = depth_;
-      rec.latency_cycles = depth_;
-      if (rec.memo_enabled) {
-        lut_.update(ins, rec.result);
-        rec.lut_updated = true;
-        rec.lut_writes = 1;
+      if (out.memo_enabled) {
+        lut_.update(ins, out.result);
+        ++stats_.lut_updates;
         probe(telemetry::ProbeEvent::Kind::kLutWrite);
       }
+      stats_.active_stage_cycles += static_cast<std::uint64_t>(depth_);
       break;
     }
     case MemoAction::kTriggerRecovery: {
@@ -122,11 +110,11 @@ ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
       // W_en requires an error-free first-pass execution. A false-positive
       // flag pays the same replay cost for nothing — that waste is exactly
       // what EcuStats/FpuStats now make visible.
-      rec.result = rec.exact_result;
-      rec.active_stage_cycles = depth_; // errant pass toggled all stages
-      rec.recovery_cycles = ecu_.recover(unit_, /*flushed_in_flight_ops=*/0);
-      rec.latency_cycles = depth_ + rec.recovery_cycles;
-      rec.recovered = true;
+      out.result = evaluate_fp_op(ins);
+      out.recovery_cycles = ecu_.recover(unit_, /*flushed_in_flight_ops=*/0);
+      ++stats_.recoveries;
+      stats_.recovery_cycles += static_cast<std::uint64_t>(out.recovery_cycles);
+      stats_.active_stage_cycles += static_cast<std::uint64_t>(depth_);
       break;
     }
     case MemoAction::kReuse:
@@ -135,49 +123,72 @@ ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
       // forwarded clock-gating signal. Stage 1 already toggled in parallel
       // with the lookup. The memorized result propagates to the pipeline
       // end, so observed latency equals the pipeline depth.
-      rec.result = memorized.value;
-      if (memorized.corrupted) {
+      out.result = memorized.value;
+      if (memorized.corrupted) [[unlikely]] {
         // The matched line absorbed SEU flips after it was written: the
         // operand comparison and/or the forwarded Q_L used upset bits, so
         // the committed value is untrustworthy — silent data corruption
         // (parity protection would have invalidated odd-flip lines before
         // the match; see MemoLut::lookup_checked).
-        rec.corrupt_reuse = true;
-        rec.sdc = true;
+        out.corrupt_reuse = true;
+        out.sdc = true;
         ++stats_.corrupt_reuses;
       }
-      rec.active_stage_cycles = 1;
-      rec.gated_stage_cycles = depth_ - 1;
-      rec.latency_cycles = depth_;
-      if (rec.action == MemoAction::kReuseMaskError) {
-        rec.error_masked = true;
+      if (out.action == MemoAction::kReuseMaskError) {
+        ++stats_.masked_errors;
         ecu_.note_masked_error(unit_);
       }
+      ++stats_.hits;
+      stats_.active_stage_cycles += 1;
+      stats_.gated_stage_cycles += static_cast<std::uint64_t>(depth_ - 1);
       break;
     }
   }
 
-  if (rec.sdc) {
+  if (out.sdc) [[unlikely]] {
     ++stats_.sdc_ops;
     probe(telemetry::ProbeEvent::Kind::kSdcCommit);
   }
 
   // 4. Statistics.
   ++stats_.instructions;
-  stats_.hits += rec.lut_hit ? 1 : 0;
-  stats_.timing_errors += rec.timing_error ? 1 : 0;
-  stats_.masked_errors += rec.error_masked ? 1 : 0;
-  stats_.recoveries += rec.recovered ? 1 : 0;
-  stats_.recovery_cycles += static_cast<std::uint64_t>(rec.recovery_cycles);
-  stats_.active_stage_cycles +=
-      static_cast<std::uint64_t>(rec.active_stage_cycles);
-  stats_.gated_stage_cycles +=
-      static_cast<std::uint64_t>(rec.gated_stage_cycles);
-  stats_.lut_updates += rec.lut_updated ? 1 : 0;
+  stats_.timing_errors += eds.error ? 1 : 0;
   regs_.latch_status_hits(stats_.hits);
   probe(telemetry::ProbeEvent::Kind::kOpRetired,
-        static_cast<std::uint64_t>(rec.latency_cycles),
-        static_cast<std::uint8_t>(rec.action));
+        static_cast<std::uint64_t>(depth_ + out.recovery_cycles),
+        static_cast<std::uint8_t>(out.action));
+  return out;
+}
+
+ExecutionRecord LaneOutcome::record(FpuType unit,
+                                    const FpInstruction& ins) const {
+  const int depth = fpu_latency_cycles(unit);
+  ExecutionRecord rec;
+  rec.unit = unit;
+  rec.opcode = ins.opcode;
+  rec.work_item = ins.work_item;
+  rec.static_id = ins.static_id;
+  rec.action = action;
+  rec.lut_hit = memo_clock_gates(action);
+  rec.timing_error = !clean();
+  rec.error_masked = memo_masks_error(action);
+  rec.recovered = memo_triggers_recovery(action);
+  rec.lut_updated = memo_enabled && memo_updates_lut(action);
+  rec.memo_enabled = memo_enabled;
+  rec.active_stage_cycles = rec.lut_hit ? 1 : depth;
+  rec.gated_stage_cycles = rec.lut_hit ? depth - 1 : 0;
+  rec.recovery_cycles = recovery_cycles;
+  rec.latency_cycles = depth + recovery_cycles;
+  rec.lut_lookups = memo_enabled ? 1 : 0;
+  rec.lut_writes = rec.lut_updated ? 1 : 0;
+  rec.lut_seu_flips = lut_seu_flips;
+  rec.eds_false_negative = eds_false_negative;
+  rec.eds_false_positive = eds_false_positive;
+  rec.corrupt_reuse = corrupt_reuse;
+  rec.sdc = sdc;
+  rec.result = result;
+  rec.exact_result = evaluate_fp_op(ins);
+  rec.operands = ins.operands;
   return rec;
 }
 

@@ -2,13 +2,15 @@
 // ECU recovery path, and the tightly coupled temporal-memoization module
 // (Fig. 9 of the paper).
 //
-// The class offers a transactional per-instruction interface — execute()
-// consumes one dynamic instruction and returns a complete ExecutionRecord —
-// which is what the GPGPU simulation layer drives. Cycle-level pipeline
-// structure (occupancy, flush) is modeled by FpuPipeline and exercised by
-// the unit tests; the transaction interface accounts latency and stage
-// activity consistently with that structure without stepping every cycle,
-// which keeps multi-million-instruction workloads tractable.
+// The class offers a transactional per-instruction interface. step()
+// consumes one dynamic instruction, updates the LUT, ECU and statistics, and
+// returns a compact LaneOutcome; it is what the GPGPU simulation layer
+// drives. execute() is step() plus a complete ExecutionRecord, for observers
+// and tests. Cycle-level pipeline structure (occupancy, flush) is modeled by
+// FpuPipeline and exercised by the unit tests; the transaction interface
+// accounts latency and stage activity consistently with that structure
+// without stepping every cycle, which keeps multi-million-instruction
+// workloads tractable.
 #pragma once
 
 #include <array>
@@ -67,6 +69,33 @@ struct ExecutionRecord {
   float result = 0.0f;         ///< architecturally committed value (Q_pipe)
   float exact_result = 0.0f;   ///< golden datapath value (for fidelity)
   std::array<float, kMaxOperands> operands{};  ///< source operand values
+};
+
+/// What one instruction's transaction on a ResilientFpu decided: the
+/// Table-2 action plus the facts a record cannot derive from it. Every
+/// other ExecutionRecord field follows from these, the unit and the
+/// instruction (record()).
+struct LaneOutcome {
+  float result = 0.0f;      ///< architecturally committed value (Q_pipe)
+  int recovery_cycles = 0;  ///< extra cycles spent in ECU recovery
+  int lut_seu_flips = 0;    ///< SEU bits flipped during this op
+  MemoAction action = MemoAction::kNormalExecution;
+  bool memo_enabled = false;       ///< module was powered for this op
+  bool eds_false_negative = false; ///< real violation, flag suppressed
+  bool eds_false_positive = false; ///< spurious flag, wasted recovery
+  bool corrupt_reuse = false;      ///< hit served from an SEU-flipped line
+  bool sdc = false;                ///< silently corrupted value committed
+
+  /// No error flag reached the module: the op's energy depends only on its
+  /// unit, whether it hit, and whether the module was powered.
+  [[nodiscard]] bool clean() const noexcept {
+    return action == MemoAction::kNormalExecution ||
+           action == MemoAction::kReuse;
+  }
+
+  /// The full record of `ins` executed on a `unit` FPU with this outcome.
+  [[nodiscard]] ExecutionRecord record(FpuType unit,
+                                       const FpInstruction& ins) const;
 };
 
 /// Aggregate per-FPU execution statistics.
@@ -147,10 +176,17 @@ class ResilientFpu {
   [[nodiscard]] const Ecu& ecu() const noexcept { return ecu_; }
   [[nodiscard]] const FpuStats& stats() const noexcept { return stats_; }
 
-  /// Executes one dynamic instruction under the given timing-error model
-  /// and returns the full record. Deterministic for a fixed seed sequence.
+  /// Executes one dynamic instruction that suffers a timing error with
+  /// probability `p_error`: LUT lookup, EDS sampling, the Table-2 decision,
+  /// LUT update or ECU recovery, statistics and probes. Deterministic for a
+  /// fixed seed sequence.
+  LaneOutcome step(const FpInstruction& ins, double p_error);
+
+  /// step() under the given timing-error model, returning the full record.
   ExecutionRecord execute(const FpInstruction& ins,
-                          const TimingErrorModel& errors);
+                          const TimingErrorModel& errors) {
+    return step(ins, errors.op_error_probability(unit_)).record(unit_, ins);
+  }
 
   /// Clears statistics and the ECU counters but keeps LUT contents and
   /// register programming (a new measurement window).
@@ -163,7 +199,7 @@ class ResilientFpu {
 
   /// Attaches (nullptr detaches) a telemetry sink; `cu`/`core` identify
   /// this FPU's position for event attribution. With no sink attached the
-  /// execute() hot path pays one null-check per probe site (see
+  /// step() hot path pays one null-check per probe site (see
   /// telemetry/probe.hpp for the zero-overhead contract).
   void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
                  std::uint16_t core) noexcept {

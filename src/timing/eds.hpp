@@ -47,10 +47,11 @@ class EdsSensorBank {
     return faults_;
   }
 
-  /// Samples the sensors for one instruction under `model`. When an error
-  /// occurs, the errant stage is drawn uniformly (each stage has the same
-  /// per-cycle violation probability) and the propagation latency is the
-  /// number of remaining stages the flag must ripple through.
+  /// Samples the sensors for one instruction that suffers a timing error
+  /// with probability `p_error`. When an error occurs, the errant stage is
+  /// drawn uniformly (each stage has the same per-cycle violation
+  /// probability) and the propagation latency is the number of remaining
+  /// stages the flag must ripple through.
   ///
   /// With a nonzero EdsFaultConfig the observed flag can diverge from the
   /// ground truth: a real violation is suppressed with probability
@@ -58,9 +59,9 @@ class EdsSensorBank {
   /// false_positive_rate. The imperfection draws are gated behind
   /// faults_.enabled() so the RNG stream — and therefore every golden
   /// result — is bit-identical when injection is off.
-  [[nodiscard]] EdsObservation observe(const TimingErrorModel& model) {
+  [[nodiscard]] EdsObservation observe(double p_error) {
     EdsObservation obs;
-    obs.true_error = model.sample_error(unit_, rng_);
+    obs.true_error = rng_.bernoulli(p_error);
     obs.error = obs.true_error;
     if (faults_.enabled()) {
       if (obs.true_error) {
@@ -81,6 +82,11 @@ class EdsSensorBank {
       obs.propagation_cycles = depth_ - 1 - obs.errant_stage;
     }
     return obs;
+  }
+
+  /// observe() at `model`'s error probability for this bank's unit.
+  [[nodiscard]] EdsObservation observe(const TimingErrorModel& model) {
+    return observe(model.op_error_probability(unit_));
   }
 
   /// Reseeds the sensor RNG (deterministic experiment replays).
