@@ -48,8 +48,9 @@ class Listener {
   /// The actually bound port (resolves port-0 binds).
   [[nodiscard]] std::uint16_t bound_port() const noexcept { return port_; }
 
-  /// Accepts one pending connection, returning its (nonblocking) fd, or
-  /// -1 when none is pending or the accept failed transiently.
+  /// Accepts one pending connection, returning its fd (nonblocking, with
+  /// TCP_NODELAY set), or -1 when none is pending or the accept or its
+  /// socket options failed.
   [[nodiscard]] int accept_one();
 
   void close_listener();
@@ -59,9 +60,9 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
-/// Blocking TCP connect with a wall-clock budget. Returns the connected
-/// (blocking-mode) fd, or -1 with a diagnostic in `error`. Each resolved
-/// address gets up to `timeout_ms` before the next is tried.
+/// Blocking TCP connect with a wall-clock budget. Returns the connected fd
+/// (blocking mode, TCP_NODELAY set), or -1 with a diagnostic in `error`.
+/// Each resolved address gets up to `timeout_ms` before the next is tried.
 [[nodiscard]] int connect_to(const HostPort& to, int timeout_ms,
                              std::string& error);
 

@@ -1,13 +1,17 @@
 // Transport tests for the distributed campaign fabric (net/transport.hpp,
 // docs/DISTRIBUTED.md): HOST:PORT parsing with its ephemeral-port gate, the
 // nonblocking Listener lifecycle on an OS-chosen loopback port, a real
-// connect/accept/frame round-trip, and connect-failure diagnostics.
+// connect/accept/frame round-trip, TCP_NODELAY on both ends, and
+// connect-failure diagnostics.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <string>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "net/frame.hpp"
@@ -115,6 +119,33 @@ TEST(Listener, ConnectAcceptAndFrameRoundTrip) {
   ASSERT_TRUE(read_frame(client, payload));
   EXPECT_EQ(payload, "and back");
 
+  ::close(client);
+  ::close(accepted);
+}
+
+/// Reads TCP_NODELAY back from a socket; -1 when getsockopt fails.
+int nodelay(int fd) {
+  int on = 0;
+  socklen_t len = sizeof on;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) != 0) return -1;
+  return on;
+}
+
+TEST(Listener, BothEndsDisableNagle) {
+  // Dispatch and result frames are small request/reply messages; with
+  // Nagle's algorithm on, each one waits for the peer's delayed ACK.
+  Listener listener;
+  listener.open({"127.0.0.1", 0});
+  std::string error;
+  const int client =
+      connect_to({"127.0.0.1", listener.bound_port()}, 5000, error);
+  ASSERT_GE(client, 0) << error;
+  ASSERT_TRUE(wait_readable(listener.fd()));
+  const int accepted = listener.accept_one();
+  ASSERT_GE(accepted, 0);
+
+  EXPECT_EQ(nodelay(client), 1);
+  EXPECT_EQ(nodelay(accepted), 1);
   ::close(client);
   ::close(accepted);
 }
