@@ -37,13 +37,12 @@ void ComputeUnit::execute_wavefront_op(
                   static_cast<std::uint64_t>(
                       std::popcount(active_mask & lane_mask))});
 
-  // Fixed for the whole vector instruction: its error probability, its
-  // pipeline depth and the FPU it is steered to on every stream core. With
-  // no observer attached the launch hands over the device's own
-  // accumulator, which charges clean lanes from its table; every other lane
-  // builds a record for the sink.
+  // Fixed for the whole vector instruction: its error probability, depth
+  // and FPU on every stream core. With no observer attached the sink is the
+  // device's accumulator, which charges clean lanes from its table; every
+  // other lane builds a record for the sink.
   const double p_error = errors.op_error_probability(unit);
-  const std::size_t fpu = StreamCore::fpu_index(unit, static_id);
+  const std::size_t fpu = cores_.front().fpu_index(unit, static_id);
   auto* const acc = dynamic_cast<EnergyAccumulator*>(sink);
   const int depth = fpu_latency_cycles(unit);
 

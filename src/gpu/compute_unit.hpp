@@ -36,33 +36,29 @@ class ExecutionSink {
 /// Per-unit-type and overall energy accumulation. Every op is charged
 /// twice — once for the memoized architecture, once for the baseline — so a
 /// single simulation yields a paired comparison with identical error draws.
-/// Setting the FPU supply tabulates, per unit, both charges of the three
-/// clean outcomes (hit, miss with LUT write, module off) through the same
-/// EnergyModel::charge/charge_baseline that charge() calls on a record.
-/// With no observer attached, ComputeUnit::execute_wavefront_op receives
-/// the accumulator itself: clean lanes are charged from the table with
-/// charge_clean() and every other lane through a record; observers (trace
-/// writer, performance model) forward each record here through consume().
+/// Setting the FPU supply also tabulates, per unit, both charges of each
+/// clean lane outcome through the EnergyModel calls consume() makes. With
+/// no observer attached, ComputeUnit::execute_wavefront_op charges clean
+/// lanes from that table; observers (trace writer, performance model)
+/// forward each record here through consume().
 class EnergyAccumulator final : public ExecutionSink {
  public:
   explicit EnergyAccumulator(const EnergyModel& model) : model_(model) {
     set_supply(model.params().nominal_voltage);
   }
 
-  void consume(const ExecutionRecord& rec) override { charge(rec); }
-
-  void charge(const ExecutionRecord& rec) noexcept {
+  void consume(const ExecutionRecord& rec) override {
     const auto u = static_cast<std::size_t>(rec.unit);
     per_unit_[u].memoized_pj += model_.charge(rec, at_supply_[u]);
     per_unit_[u].baseline_pj += model_.charge_baseline(rec, at_supply_[u]);
   }
 
-  /// Charges one clean lane outcome (LaneOutcome::clean()) of a `unit` FPU
-  /// that no spatial comparator touched: the same sums charge() would add
-  /// for its record.
+  /// consume() of the record of a clean `out` on a `unit` FPU that no
+  /// spatial comparator touched, without building the record.
   void charge_clean(FpuType unit, const LaneOutcome& out) noexcept {
     const auto u = static_cast<std::size_t>(unit);
-    per_unit_[u] += clean_[u][clean_index(out)];
+    const bool hit = out.action == MemoAction::kReuse;
+    per_unit_[u] += clean_[u][hit][out.memo_enabled];
   }
 
   /// FPU supply voltage the records are charged at (the memoization module
@@ -72,11 +68,15 @@ class EnergyAccumulator final : public ExecutionSink {
     for (FpuType u : kAllFpuTypes) {
       const auto ui = static_cast<std::size_t>(u);
       at_supply_[ui] = model_.unit_energy(u, v);
-      for (const LaneOutcome& out : kCleanOutcomes) {
-        const ExecutionRecord rec = out.record(u, FpInstruction{});
-        clean_[ui][clean_index(out)] = {
-            model_.charge(rec, at_supply_[ui]),
-            model_.charge_baseline(rec, at_supply_[ui])};
+      for (bool hit : {false, true}) {
+        for (bool memo : {false, true}) {
+          const LaneOutcome out{
+              .action = hit ? MemoAction::kReuse : MemoAction::kNormalExecution,
+              .memo_enabled = memo};
+          const ExecutionRecord rec = out.record(u, FpInstruction{});
+          clean_[ui][hit][memo] = {model_.charge(rec, at_supply_[ui]),
+                                   model_.charge_baseline(rec, at_supply_[ui])};
+        }
       }
     }
   }
@@ -95,22 +95,11 @@ class EnergyAccumulator final : public ExecutionSink {
   void reset() noexcept { per_unit_ = {}; }
 
  private:
-  /// Hit, miss with LUT write, module off.
-  static constexpr std::array<LaneOutcome, 3> kCleanOutcomes = {{
-      {.action = MemoAction::kReuse, .memo_enabled = true},
-      {.action = MemoAction::kNormalExecution, .memo_enabled = true},
-      {.action = MemoAction::kNormalExecution, .memo_enabled = false},
-  }};
-  /// Arithmetic rather than branches: hit or miss is data-dependent.
-  static constexpr std::size_t clean_index(const LaneOutcome& out) noexcept {
-    return static_cast<std::size_t>(out.action != MemoAction::kReuse) *
-           (out.memo_enabled ? 1u : 2u);
-  }
-
   EnergyModel model_;
   Volt supply_ = 0.0;
   std::array<UnitEnergy, kNumFpuTypes> at_supply_{};
-  std::array<std::array<EnergyTotals, kCleanOutcomes.size()>, kNumFpuTypes>
+  /// [unit][hit][module powered]; a hit with the module off cannot occur.
+  std::array<std::array<std::array<EnergyTotals, 2>, 2>, kNumFpuTypes>
       clean_{};
   std::array<EnergyTotals, kNumFpuTypes> per_unit_{};
 };

@@ -22,12 +22,6 @@
 
 namespace tmemo {
 
-/// Whether `unit` exists on PE `pe`: transcendental units only exist on T,
-/// non-transcendental units are replicated on X/Y/Z/W.
-[[nodiscard]] constexpr bool pe_hosts(int pe, FpuType unit) noexcept {
-  return fpu_type_is_transcendental(unit) == (pe == kPeT);
-}
-
 class StreamCore {
  public:
   /// `seed` individualizes the EDS streams of this core's FPUs.
@@ -39,22 +33,20 @@ class StreamCore {
     return fpus_[fpu_index(ins.unit(), ins.static_id)].execute(ins, errors);
   }
 
-  /// Index of the FPU a static instruction is steered to; the same in
-  /// every stream core, so a vector instruction resolves it once.
-  [[nodiscard]] static std::size_t fpu_index(
-      FpuType unit, StaticInstrId static_id) noexcept {
-    return kFpuIndex[static_cast<std::size_t>(vliw_slot(unit, static_id))]
-                    [static_cast<std::size_t>(unit)];
+  /// Index of the FPU a static instruction is steered to. Every stream
+  /// core builds the same table, so one lookup serves a whole wavefront.
+  [[nodiscard]] std::size_t fpu_index(FpuType unit,
+                                      StaticInstrId static_id) const noexcept {
+    const auto pe = static_cast<std::size_t>(vliw_slot(unit, static_id));
+    return slots_[pe][static_cast<std::size_t>(unit)];
   }
-
-  /// The FPU at `fpu_index()`.
   [[nodiscard]] ResilientFpu& fpu_at(std::size_t index) noexcept {
     return fpus_[index];
   }
 
   /// The PE slot a static instruction is steered to.
-  [[nodiscard]] static constexpr int vliw_slot(
-      FpuType unit, StaticInstrId static_id) noexcept {
+  [[nodiscard]] static int vliw_slot(FpuType unit,
+                                     StaticInstrId static_id) noexcept {
     if (fpu_type_is_transcendental(unit)) return kPeT;
     return static_cast<int>(static_id % 4u);
   }
@@ -79,20 +71,10 @@ class StreamCore {
 
  private:
   /// Index into fpus_ of each (pe, unit), kNoFpu where the unit does not
-  /// exist on that PE.
+  /// exist on that PE: transcendental units only exist on T,
+  /// non-transcendental units are replicated on X/Y/Z/W.
   static constexpr std::uint8_t kNoFpu = 0xff;
-  static constexpr auto kFpuIndex = [] {
-    std::array<std::array<std::uint8_t, kNumFpuTypes>, kPeCount> index{};
-    std::uint8_t next = 0;
-    for (int pe = 0; pe < kPeCount; ++pe) {
-      for (FpuType unit : kAllFpuTypes) {
-        index[static_cast<std::size_t>(pe)][static_cast<std::size_t>(unit)] =
-            pe_hosts(pe, unit) ? next++ : kNoFpu;
-      }
-    }
-    return index;
-  }();
-
+  std::array<std::array<std::uint8_t, kNumFpuTypes>, kPeCount> slots_{};
   std::vector<ResilientFpu> fpus_;  ///< by value, in [pe][unit] order
 };
 

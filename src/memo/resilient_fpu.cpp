@@ -26,15 +26,12 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
   //    behind injection-on checks, so the fault-free path is unchanged.
   const bool storm = faults_armed_ && ecu_.storm_tripped();
   if (storm &&
-      ecu_.watchdog().action == inject::WatchdogAction::kDisableMemoization)
-      [[unlikely]] {
+      ecu_.watchdog().action == inject::WatchdogAction::kDisableMemoization) {
     out.memo_enabled = false;
   }
-  if (faults_armed_ && injector_.config().enabled() && !power_gated_)
-      [[unlikely]] {
+  if (faults_armed_ && injector_.config().enabled() && !power_gated_) {
     const int flips = injector_.advance(lut_, depth_);
     if (flips > 0) {
-      out.lut_seu_flips = flips;
       stats_.seu_flips += static_cast<std::uint64_t>(flips);
       probe(telemetry::ProbeEvent::Kind::kLutSeuFlip,
             static_cast<std::uint64_t>(flips));
@@ -48,7 +45,7 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
     memorized = lut_.lookup_checked(ins, regs_.constraint());
     const std::uint64_t dropped =
         lut_.stats().parity_invalidations - parity_before;
-    if (dropped > 0) [[unlikely]] {
+    if (dropped > 0) {
       stats_.parity_invalidations += dropped;
       probe(telemetry::ProbeEvent::Kind::kLutParityDrop, dropped);
     }
@@ -67,12 +64,12 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
       storm &&
       ecu_.watchdog().action == inject::WatchdogAction::kRaiseGuardband;
   if (!guardband_raised) eds = eds_.observe(p_error);
-  if (eds.false_negative) [[unlikely]] {
+  if (eds.false_negative) {
     out.eds_false_negative = true;
     ++stats_.eds_false_negatives;
     probe(telemetry::ProbeEvent::Kind::kEdsFalseNegative);
   }
-  if (eds.false_positive) [[unlikely]] {
+  if (eds.false_positive) {
     out.eds_false_positive = true;
     ++stats_.eds_false_positives;
     probe(telemetry::ProbeEvent::Kind::kEdsFalsePositive);
@@ -86,7 +83,7 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
   switch (out.action) {
     case MemoAction::kNormalExecution: {
       out.result = evaluate_fp_op(ins);
-      if (eds.false_negative) [[unlikely]] {
+      if (eds.false_negative) {
         // The violation was real but the flag never reached the ECU: the
         // errant datapath value commits silently. One fraction bit of the
         // exact result latches wrong, and — worse — the corrupted value is
@@ -124,7 +121,7 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
       // with the lookup. The memorized result propagates to the pipeline
       // end, so observed latency equals the pipeline depth.
       out.result = memorized.value;
-      if (memorized.corrupted) [[unlikely]] {
+      if (memorized.corrupted) {
         // The matched line absorbed SEU flips after it was written: the
         // operand comparison and/or the forwarded Q_L used upset bits, so
         // the committed value is untrustworthy — silent data corruption
@@ -145,7 +142,7 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
     }
   }
 
-  if (out.sdc) [[unlikely]] {
+  if (out.sdc) {
     ++stats_.sdc_ops;
     probe(telemetry::ProbeEvent::Kind::kSdcCommit);
   }
@@ -181,7 +178,6 @@ ExecutionRecord LaneOutcome::record(FpuType unit,
   rec.latency_cycles = depth + recovery_cycles;
   rec.lut_lookups = memo_enabled ? 1 : 0;
   rec.lut_writes = rec.lut_updated ? 1 : 0;
-  rec.lut_seu_flips = lut_seu_flips;
   rec.eds_false_negative = eds_false_negative;
   rec.eds_false_positive = eds_false_positive;
   rec.corrupt_reuse = corrupt_reuse;

@@ -60,7 +60,6 @@ struct ExecutionRecord {
   int spatial_compares = 0;    ///< lane-vs-master comparator activations
 
   // Fault-injection outcomes (all false/0 with injection off).
-  int lut_seu_flips = 0;           ///< SEU bits flipped during this op
   bool eds_false_negative = false; ///< real violation, flag suppressed
   bool eds_false_positive = false; ///< spurious flag, wasted recovery
   bool corrupt_reuse = false;      ///< hit served from an SEU-flipped line
@@ -72,13 +71,11 @@ struct ExecutionRecord {
 };
 
 /// What one instruction's transaction on a ResilientFpu decided: the
-/// Table-2 action plus the facts a record cannot derive from it. Every
-/// other ExecutionRecord field follows from these, the unit and the
-/// instruction (record()).
+/// Table-2 action plus the facts record() cannot derive from the action,
+/// the unit and the instruction.
 struct LaneOutcome {
   float result = 0.0f;      ///< architecturally committed value (Q_pipe)
   int recovery_cycles = 0;  ///< extra cycles spent in ECU recovery
-  int lut_seu_flips = 0;    ///< SEU bits flipped during this op
   MemoAction action = MemoAction::kNormalExecution;
   bool memo_enabled = false;       ///< module was powered for this op
   bool eds_false_negative = false; ///< real violation, flag suppressed

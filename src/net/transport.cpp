@@ -27,9 +27,8 @@ bool set_nonblocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != -1;
 }
 
-/// Sets TCP_NODELAY; false when setsockopt fails. Dispatch and result
-/// frames are small and each waits for the peer's reply, so Nagle's
-/// algorithm would hold every one of them for a delayed ACK.
+/// Sets TCP_NODELAY; false when setsockopt fails. Frames are small
+/// request/reply messages that Nagle's algorithm holds for a delayed ACK.
 bool set_nodelay(int fd) {
   const int one = 1;
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0;

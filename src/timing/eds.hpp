@@ -47,11 +47,10 @@ class EdsSensorBank {
     return faults_;
   }
 
-  /// Samples the sensors for one instruction that suffers a timing error
-  /// with probability `p_error`. When an error occurs, the errant stage is
-  /// drawn uniformly (each stage has the same per-cycle violation
-  /// probability) and the propagation latency is the number of remaining
-  /// stages the flag must ripple through.
+  /// Samples the sensors for one instruction erring with probability
+  /// `p_error`. An errant stage is drawn uniformly (each stage has the same
+  /// per-cycle violation probability); the propagation latency is the
+  /// number of remaining stages the flag must ripple through.
   ///
   /// With a nonzero EdsFaultConfig the observed flag can diverge from the
   /// ground truth: a real violation is suppressed with probability

@@ -13,7 +13,6 @@
 
 #include <memory>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fpu/opcode.hpp"
 #include "timing/voltage.hpp"
@@ -28,11 +27,6 @@ class TimingErrorModel {
   /// Probability that one instruction on a `unit`-type FPU suffers at least
   /// one timing error across its pipeline stages.
   [[nodiscard]] virtual double op_error_probability(FpuType unit) const = 0;
-
-  /// Samples the error event for one instruction.
-  [[nodiscard]] bool sample_error(FpuType unit, Xorshift128& rng) const {
-    return rng.bernoulli(op_error_probability(unit));
-  }
 };
 
 /// Error-free execution (the 0% point of Fig. 10).

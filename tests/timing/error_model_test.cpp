@@ -9,10 +9,10 @@ namespace {
 
 TEST(NoErrorModel, AlwaysZero) {
   const NoErrorModel m;
-  Xorshift128 rng(1);
   for (FpuType u : kAllFpuTypes) {
     EXPECT_EQ(m.op_error_probability(u), 0.0);
-    for (int i = 0; i < 100; ++i) EXPECT_FALSE(m.sample_error(u, rng));
+    EdsSensorBank bank(u, 1);
+    for (int i = 0; i < 100; ++i) EXPECT_FALSE(bank.observe(m).error);
   }
 }
 
@@ -32,11 +32,11 @@ TEST(FixedRateErrorModel, UniformAcrossUnits) {
 
 TEST(FixedRateErrorModel, SampledRateMatchesConfigured) {
   const FixedRateErrorModel m(0.04);
-  Xorshift128 rng(7);
+  EdsSensorBank bank(FpuType::kAdd, 7);
   const int n = 200000;
   int errors = 0;
   for (int i = 0; i < n; ++i) {
-    errors += m.sample_error(FpuType::kAdd, rng) ? 1 : 0;
+    errors += bank.observe(m).error ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(errors) / n, 0.04, 0.004);
 }
