@@ -183,7 +183,7 @@ ExecutionRecord LaneOutcome::record(FpuType unit,
   rec.corrupt_reuse = corrupt_reuse;
   rec.sdc = sdc;
   rec.result = result;
-  rec.exact_result = evaluate_fp_op(ins);
+  rec.exact_result = rec.lut_hit || sdc ? evaluate_fp_op(ins) : result;
   rec.operands = ins.operands;
   return rec;
 }
