@@ -159,33 +159,33 @@ LaneOutcome ResilientFpu::step(const FpInstruction& ins, double p_error) {
 
 ExecutionRecord LaneOutcome::record(FpuType unit,
                                     const FpInstruction& ins) const {
-  const int depth = fpu_latency_cycles(unit);
-  ExecutionRecord rec;
-  rec.unit = unit;
-  rec.opcode = ins.opcode;
-  rec.work_item = ins.work_item;
-  rec.static_id = ins.static_id;
-  rec.action = action;
-  rec.lut_hit = memo_clock_gates(action);
-  rec.timing_error = !clean();
-  rec.error_masked = memo_masks_error(action);
-  rec.recovered = memo_triggers_recovery(action);
-  rec.lut_updated = memo_enabled && memo_updates_lut(action);
-  rec.memo_enabled = memo_enabled;
-  rec.active_stage_cycles = rec.lut_hit ? 1 : depth;
-  rec.gated_stage_cycles = rec.lut_hit ? depth - 1 : 0;
-  rec.recovery_cycles = recovery_cycles;
-  rec.latency_cycles = depth + recovery_cycles;
-  rec.lut_lookups = memo_enabled ? 1 : 0;
-  rec.lut_writes = rec.lut_updated ? 1 : 0;
-  rec.eds_false_negative = eds_false_negative;
-  rec.eds_false_positive = eds_false_positive;
-  rec.corrupt_reuse = corrupt_reuse;
-  rec.sdc = sdc;
-  rec.result = result;
-  rec.exact_result = rec.lut_hit || sdc ? evaluate_fp_op(ins) : result;
-  rec.operands = ins.operands;
-  return rec;
+  // One aggregate, so every field is written once (no zeroing pass first).
+  const bool hit = memo_clock_gates(action);
+  const bool updated = memo_enabled && memo_updates_lut(action);
+  return {.unit = unit,
+          .opcode = ins.opcode,
+          .work_item = ins.work_item,
+          .static_id = ins.static_id,
+          .action = action,
+          .lut_hit = hit,
+          .timing_error = !clean(),
+          .error_masked = memo_masks_error(action),
+          .recovered = memo_triggers_recovery(action),
+          .lut_updated = updated,
+          .memo_enabled = memo_enabled,
+          .active_stage_cycles = hit ? 1 : fpu_latency_cycles(unit),
+          .gated_stage_cycles = hit ? fpu_latency_cycles(unit) - 1 : 0,
+          .recovery_cycles = recovery_cycles,
+          .latency_cycles = fpu_latency_cycles(unit) + recovery_cycles,
+          .lut_lookups = memo_enabled ? 1 : 0,
+          .lut_writes = updated ? 1 : 0,
+          .eds_false_negative = eds_false_negative,
+          .eds_false_positive = eds_false_positive,
+          .corrupt_reuse = corrupt_reuse,
+          .sdc = sdc,
+          .result = result,
+          .exact_result = hit || sdc ? evaluate_fp_op(ins) : result,
+          .operands = ins.operands};
 }
 
 void ResilientFpu::reset_stats() {
