@@ -1,5 +1,6 @@
 #include "telemetry/collector.hpp"
 
+#include <array>
 #include <string>
 
 #include "fpu/opcode.hpp"
@@ -19,6 +20,12 @@ std::string unit_metric(std::string_view unit_name, const char* suffix) {
 std::string_view unit_name(std::uint8_t unit) {
   return fpu_type_name(static_cast<FpuType>(unit));
 }
+
+// Specs built once, so a cached histogram costs no spec construction per
+// event. 65 lane buckets so a full 64-lane wavefront (the common case)
+// gets its own bucket [64,65) instead of landing in overflow.
+const HistogramSpec kLanesSpec = HistogramSpec::linear(0, 65, 65);
+const HistogramSpec kLog2Spec = HistogramSpec::log2();
 
 } // namespace
 
@@ -44,17 +51,13 @@ TelemetryCollector::TelemetryCollector(CollectorConfig config) {
 }
 
 void TelemetryCollector::on_event(const ProbeEvent& e) {
-  MetricRegistry& reg = registry_;
   switch (e.kind) {
     case ProbeEvent::Kind::kWavefrontIssue: {
-      reg.counter("sim.wavefront_issues").add();
-      // 65 buckets so a full 64-lane wavefront (the common case) gets its
-      // own bucket [64,65) instead of landing in overflow.
-      reg.histogram("sim.wavefront_active_lanes",
-                    HistogramSpec::linear(0, 65, 65))
+      counter(wavefront_issues_, "sim.wavefront_issues").add();
+      histogram(active_lanes_, "sim.wavefront_active_lanes", kLanesSpec)
           .record(e.value);
       if (timeline_) {
-        PendingOp& op = pending_[e.cu];
+        PendingOp& op = pending(e.cu);
         flush_op(e.cu, op);
         op.active = true;
         op.start_tick = tick_;
@@ -66,142 +69,181 @@ void TelemetryCollector::on_event(const ProbeEvent& e) {
     case ProbeEvent::Kind::kLutHit:
     case ProbeEvent::Kind::kLutMiss: {
       const bool hit = e.kind == ProbeEvent::Kind::kLutHit;
-      reg.counter(hit ? "memo.lut.hits" : "memo.lut.misses").add();
-      reg.counter(unit_metric(unit_name(e.unit), hit ? ".hits" : ".misses"))
-          .add();
+      if (hit) {
+        counter(lut_hits_, "memo.lut.hits").add();
+        unit_counter(e.unit, kUnitHits).add();
+      } else {
+        counter(lut_misses_, "memo.lut.misses").add();
+        unit_counter(e.unit, kUnitMisses).add();
+      }
       CoreState& core = core_state(e);
       ++core.lut_lookups;
       core.lut_hits += hit ? 1 : 0;
       if (timeline_) {
-        PendingOp& op = pending_[e.cu];
+        PendingOp& op = pending(e.cu);
         ++(hit ? op.hits : op.misses);
         ++(hit ? op.cum_hits : op.cum_misses);
       }
       break;
     }
     case ProbeEvent::Kind::kLutWrite:
-      reg.counter("memo.lut.writes").add();
+      counter(lut_writes_, "memo.lut.writes").add();
       break;
     case ProbeEvent::Kind::kEdsError: {
-      reg.counter("timing.eds_errors").add();
+      counter(eds_errors_, "timing.eds_errors").add();
       if (timeline_) {
-        ++pending_[e.cu].errors;
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "eds_error";
-        ev.category = "timing";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        timeline_->instant(std::move(ev));
+        ++pending(e.cu).errors;
+        mark("eds_error", "timing", e, nullptr);
       }
       break;
     }
     case ProbeEvent::Kind::kErrorMasked:
-      reg.counter("timing.masked_errors").add();
+      counter(masked_errors_, "timing.masked_errors").add();
       break;
     case ProbeEvent::Kind::kEcuReplay: {
-      reg.counter("timing.ecu.replays").add();
-      reg.counter("timing.ecu.replay_cycles").add(e.value);
+      counter(ecu_replays_, "timing.ecu.replays").add();
+      counter(ecu_replay_cycles_, "timing.ecu.replay_cycles").add(e.value);
       core_state(e).replay_in_op = true;
       if (timeline_) {
-        ++pending_[e.cu].replays;
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "ecu_replay";
-        ev.category = "timing";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        ev.args.emplace_back("cycles", e.value);
-        timeline_->instant(std::move(ev));
+        ++pending(e.cu).replays;
+        mark("ecu_replay", "timing", e, "cycles");
       }
       break;
     }
     case ProbeEvent::Kind::kSpatialReuse:
-      reg.counter("memo.spatial.reuses").add();
-      reg.counter("sim.lanes_executed").add();
+      counter(spatial_reuses_, "memo.spatial.reuses").add();
+      counter(lanes_executed_, "sim.lanes_executed").add();
       ++tick_;
       break;
     case ProbeEvent::Kind::kOpRetired: {
-      reg.counter("sim.lanes_executed").add();
-      reg.counter(unit_metric(unit_name(e.unit), ".ops")).add();
-      reg.counter(memo_action_metric_name(static_cast<MemoAction>(e.aux)))
-          .add();
-      reg.histogram("fpu.op_latency_cycles", HistogramSpec::log2())
+      counter(lanes_executed_, "sim.lanes_executed").add();
+      unit_counter(e.unit, kUnitOps).add();
+      action_counter(e.aux).add();
+      histogram(op_latency_, "fpu.op_latency_cycles", kLog2Spec)
           .record(e.value);
       CoreState& core = core_state(e);
       if (core.replay_in_op) {
         core.replay_in_op = false;
         ++core.replay_burst;
       } else if (core.replay_burst > 0) {
-        reg.histogram("memo.replay_burst_len", HistogramSpec::log2())
-            .record(core.replay_burst);
+        record_burst(core.replay_burst);
         core.replay_burst = 0;
       }
       ++tick_;
       break;
     }
     case ProbeEvent::Kind::kLutSeuFlip:
-      reg.counter("inject.lut.seu_flips").add(e.value);
+      counter(seu_flips_, "inject.lut.seu_flips").add(e.value);
       break;
     case ProbeEvent::Kind::kLutParityDrop:
-      reg.counter("inject.lut.parity_invalidations").add(e.value);
+      counter(parity_invalidations_, "inject.lut.parity_invalidations")
+          .add(e.value);
       break;
     case ProbeEvent::Kind::kEdsFalseNegative:
-      reg.counter("inject.eds.false_negatives").add();
+      counter(eds_false_negatives_, "inject.eds.false_negatives").add();
       break;
     case ProbeEvent::Kind::kEdsFalsePositive:
-      reg.counter("inject.eds.false_positives").add();
+      counter(eds_false_positives_, "inject.eds.false_positives").add();
       break;
     case ProbeEvent::Kind::kWatchdogTrip: {
-      reg.counter("inject.watchdog.trips").add();
-      if (timeline_) {
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "watchdog_trip";
-        ev.category = "inject";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        ev.args.emplace_back("recovery_cycles", e.value);
-        timeline_->instant(std::move(ev));
-      }
+      counter(watchdog_trips_, "inject.watchdog.trips").add();
+      if (timeline_) mark("watchdog_trip", "inject", e, "recovery_cycles");
       break;
     }
     case ProbeEvent::Kind::kSdcCommit:
-      reg.counter("inject.sdc.committed_ops").add();
+      counter(sdc_commits_, "inject.sdc.committed_ops").add();
       break;
   }
 }
 
+// Out-of-range units and actions are not cached: they go by name every
+// time, as `fpu.?.<suffix>` and `memo.action.unknown`.
+Counter& TelemetryCollector::unit_counter(std::uint8_t unit,
+                                          UnitColumn column) {
+  static constexpr std::array<const char*, 3> kSuffix = {".hits", ".misses",
+                                                         ".ops"};
+  const char* suffix = kSuffix[column];
+  if (unit >= kNumFpuTypes) {
+    return registry_.counter(unit_metric(unit_name(unit), suffix));
+  }
+  Counter*& slot = unit_counters_[unit][column];
+  if (slot == nullptr) {
+    slot = &registry_.counter(unit_metric(unit_name(unit), suffix));
+  }
+  return *slot;
+}
+
+Counter& TelemetryCollector::action_counter(std::uint8_t aux) {
+  const auto action = static_cast<MemoAction>(aux);
+  if (aux >= kNumActions) {
+    return registry_.counter(memo_action_metric_name(action));
+  }
+  Counter*& slot = action_counters_[aux];
+  if (slot == nullptr) {
+    slot = &registry_.counter(memo_action_metric_name(action));
+  }
+  return *slot;
+}
+
+void TelemetryCollector::record_burst(std::uint64_t length) {
+  histogram(replay_burst_, "memo.replay_burst_len", kLog2Spec).record(length);
+}
+
+void TelemetryCollector::mark(std::string_view name,
+                              std::string_view category, const ProbeEvent& e,
+                              const char* arg) {
+  if (timeline_->full()) {
+    timeline_->drop();
+    return;
+  }
+  TimelineEvent ev;
+  ev.phase = TimelineEvent::Phase::kInstant;
+  ev.name = name;
+  ev.category = category;
+  ev.pid = e.cu;
+  ev.tid = e.core;
+  ev.ts = tick_;
+  if (arg != nullptr) ev.args.emplace_back(arg, e.value);
+  timeline_->instant(std::move(ev));
+}
+
 void TelemetryCollector::flush_op(std::uint32_t cu, PendingOp& op) {
   if (!op.active || !timeline_) return;
-  TimelineEvent ev;
-  ev.phase = TimelineEvent::Phase::kComplete;
-  ev.name = std::string(unit_name(op.unit));
-  ev.category = "issue";
-  ev.pid = cu;
-  ev.tid = 0;
-  ev.ts = op.start_tick;
-  ev.dur = tick_ > op.start_tick ? tick_ - op.start_tick : 1;
-  ev.args.emplace_back("lanes", op.lanes);
-  ev.args.emplace_back("lut_hits", op.hits);
-  ev.args.emplace_back("lut_misses", op.misses);
-  ev.args.emplace_back("eds_errors", op.errors);
-  ev.args.emplace_back("ecu_replays", op.replays);
-  timeline_->complete(std::move(ev));
+  if (timeline_->full()) {
+    timeline_->drop(2);
+  } else {
+    TimelineEvent ev;
+    ev.phase = TimelineEvent::Phase::kComplete;
+    ev.name = unit_name(op.unit);
+    ev.category = "issue";
+    ev.pid = cu;
+    ev.tid = 0;
+    ev.ts = op.start_tick;
+    ev.dur = tick_ > op.start_tick ? tick_ - op.start_tick : 1;
+    ev.args.reserve(5);
+    ev.args.emplace_back("lanes", op.lanes);
+    ev.args.emplace_back("lut_hits", op.hits);
+    ev.args.emplace_back("lut_misses", op.misses);
+    ev.args.emplace_back("eds_errors", op.errors);
+    ev.args.emplace_back("ecu_replays", op.replays);
+    timeline_->complete(std::move(ev));
 
-  TimelineEvent ctr;
-  ctr.phase = TimelineEvent::Phase::kCounter;
-  ctr.name = "lut";
-  ctr.category = "memo";
-  ctr.pid = cu;
-  ctr.tid = 0;
-  ctr.ts = tick_;
-  ctr.args.emplace_back("hits", op.cum_hits);
-  ctr.args.emplace_back("misses", op.cum_misses);
-  timeline_->counter(std::move(ctr));
+    if (timeline_->full()) {
+      timeline_->drop();
+    } else {
+      TimelineEvent ctr;
+      ctr.phase = TimelineEvent::Phase::kCounter;
+      ctr.name = "lut";
+      ctr.category = "memo";
+      ctr.pid = cu;
+      ctr.tid = 0;
+      ctr.ts = tick_;
+      ctr.args.reserve(2);
+      ctr.args.emplace_back("hits", op.cum_hits);
+      ctr.args.emplace_back("misses", op.cum_misses);
+      timeline_->counter(std::move(ctr));
+    }
+  }
 
   op.active = false;
   op.lanes = op.hits = op.misses = op.errors = op.replays = 0;
@@ -210,30 +252,30 @@ void TelemetryCollector::flush_op(std::uint32_t cu, PendingOp& op) {
 MetricsSnapshot TelemetryCollector::finish() {
   if (!finished_) {
     finished_ = true;
-    // Flush per-core derived state in key order (deterministic).
-    for (auto& kv : cores_) {
-      CoreState& core = kv.second;
-      if (core.replay_in_op) {
-        core.replay_in_op = false;
-        ++core.replay_burst;
-      }
-      if (core.replay_burst > 0) {
-        registry_.histogram("memo.replay_burst_len", HistogramSpec::log2())
-            .record(core.replay_burst);
-        core.replay_burst = 0;
-      }
-      if (core.lut_lookups > 0) {
-        registry_
-            .histogram("core.hit_rate_permille",
-                       HistogramSpec::linear(0, 1000, 50))
-            .record(core.lut_hits * 1000 / core.lut_lookups);
+    // Flush per-core derived state in (cu, core) order (deterministic).
+    Histogram* spread = nullptr;
+    for (CuState& cu : cus_) {
+      for (CoreState& core : cu.cores) {
+        if (core.replay_in_op) {
+          core.replay_in_op = false;
+          ++core.replay_burst;
+        }
+        if (core.replay_burst > 0) {
+          record_burst(core.replay_burst);
+          core.replay_burst = 0;
+        }
+        if (core.lut_lookups > 0) {
+          histogram(spread, "core.hit_rate_permille",
+                    HistogramSpec::linear(0, 1000, 50))
+              .record(core.lut_hits * 1000 / core.lut_lookups);
+        }
       }
     }
     if (timeline_) {
-      for (auto& kv : pending_) {
-        flush_op(kv.first, kv.second);
-        timeline_->set_process_name(
-            kv.first, "compute_unit " + std::to_string(kv.first));
+      for (std::uint32_t cu = 0; cu < cus_.size(); ++cu) {
+        if (!cus_[cu].on_timeline) continue;
+        flush_op(cu, cus_[cu].op);
+        timeline_->set_process_name(cu, "compute_unit " + std::to_string(cu));
       }
       registry_.gauge("sim.timeline_dropped_events")
           .set(timeline_->dropped());

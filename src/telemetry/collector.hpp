@@ -13,13 +13,15 @@
 // resulting snapshots deterministically afterwards.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "fpu/opcode.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/probe.hpp"
 #include "telemetry/timeline.hpp"
@@ -88,17 +90,82 @@ class TelemetryCollector final : public ProbeSink {
     std::uint64_t cum_misses = 0;
   };
 
-  CoreState& core_state(const ProbeEvent& e) {
-    return cores_[(static_cast<std::uint64_t>(e.cu) << 16) | e.core];
+  /// Everything kept per compute unit. `on_timeline` marks a CU the
+  /// timeline has seen: finish() flushes and names exactly those.
+  struct CuState {
+    bool on_timeline = false;
+    PendingOp op;
+    std::vector<CoreState> cores; ///< indexed by stream core
+  };
+
+  /// Number of MemoAction values with a cached `memo.action.*` counter.
+  static constexpr std::size_t kNumActions = 4;
+
+  CuState& cu_state(std::uint32_t cu) {
+    if (cu >= cus_.size()) cus_.resize(std::size_t{cu} + 1);
+    return cus_[cu];
   }
+  CoreState& core_state(const ProbeEvent& e) {
+    std::vector<CoreState>& cores = cu_state(e.cu).cores;
+    if (e.core >= cores.size()) cores.resize(std::size_t{e.core} + 1);
+    return cores[e.core];
+  }
+  PendingOp& pending(std::uint32_t cu) {
+    CuState& s = cu_state(cu);
+    s.on_timeline = true;
+    return s.op;
+  }
+
+  // Each instrument is registered by name on its first event and reached
+  // through its cached pointer afterwards, so an instrument still appears
+  // in the snapshot only once something happened to it.
+  Counter& counter(Counter*& slot, std::string_view name) {
+    if (slot == nullptr) slot = &registry_.counter(name);
+    return *slot;
+  }
+  Histogram& histogram(Histogram*& slot, std::string_view name,
+                       const HistogramSpec& spec) {
+    if (slot == nullptr) slot = &registry_.histogram(name, spec);
+    return *slot;
+  }
+  /// `fpu.<UNIT>.{hits,misses,ops}`, cached per unit.
+  enum UnitColumn : std::uint8_t { kUnitHits, kUnitMisses, kUnitOps };
+  Counter& unit_counter(std::uint8_t unit, UnitColumn column);
+  /// `memo.action.*` for the MemoAction byte of a retire, cached per
+  /// action.
+  Counter& action_counter(std::uint8_t aux);
+  void record_burst(std::uint64_t length);
+  void mark(std::string_view name, std::string_view category,
+            const ProbeEvent& e, const char* arg);
   void flush_op(std::uint32_t cu, PendingOp& op);
 
   MetricRegistry registry_;
   std::shared_ptr<Timeline> timeline_;
-  std::map<std::uint64_t, CoreState> cores_;
-  std::map<std::uint32_t, PendingOp> pending_;
+  std::vector<CuState> cus_; ///< indexed by compute unit
   std::uint64_t tick_ = 0; ///< committed dynamic instructions (sim clock)
   bool finished_ = false;
+
+  Counter* wavefront_issues_ = nullptr;
+  Counter* lut_hits_ = nullptr;
+  Counter* lut_misses_ = nullptr;
+  Counter* lut_writes_ = nullptr;
+  Counter* eds_errors_ = nullptr;
+  Counter* masked_errors_ = nullptr;
+  Counter* ecu_replays_ = nullptr;
+  Counter* ecu_replay_cycles_ = nullptr;
+  Counter* spatial_reuses_ = nullptr;
+  Counter* lanes_executed_ = nullptr;
+  Counter* seu_flips_ = nullptr;
+  Counter* parity_invalidations_ = nullptr;
+  Counter* eds_false_negatives_ = nullptr;
+  Counter* eds_false_positives_ = nullptr;
+  Counter* watchdog_trips_ = nullptr;
+  Counter* sdc_commits_ = nullptr;
+  std::array<std::array<Counter*, 3>, kNumFpuTypes> unit_counters_{};
+  std::array<Counter*, kNumActions> action_counters_{};
+  Histogram* active_lanes_ = nullptr;
+  Histogram* op_latency_ = nullptr;
+  Histogram* replay_burst_ = nullptr;
 };
 
 } // namespace tmemo::telemetry

@@ -63,14 +63,22 @@ class Timeline {
   process_names() const noexcept {
     return process_names_;
   }
+  /// True once the cap is reached: every further event is dropped, so a
+  /// caller may skip building it and call drop() instead.
+  [[nodiscard]] bool full() const noexcept {
+    return events_.size() >= max_events_;
+  }
+  /// Counts `n` events as dropped without being handed them.
+  void drop(std::uint64_t n = 1) noexcept { dropped_ += n; }
+
   /// Events discarded after the cap was reached.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::size_t max_events() const noexcept { return max_events_; }
 
  private:
   void push(TimelineEvent&& event) {
-    if (events_.size() >= max_events_) {
-      ++dropped_;
+    if (full()) {
+      drop();
       return;
     }
     events_.push_back(std::move(event));
