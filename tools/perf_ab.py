@@ -10,10 +10,9 @@ Each side is exported with `git archive` into its own directory under
 --work-dir and built there by perfbench/run.py under its own
 CARGO_TARGET_DIR. --repeat pairs of runs per seed (default one), both
 sides on the same seed, in ABBA order (parent first on even pairs, change
-first on odd ones). A
-pair fails unless both sides print a result with `correct: true` and
-`failed: 0`; failed pairs are left out of the statistics and make the
-exit status 1.
+first on odd ones). A pair fails unless both sides print a result with
+`correct: true` and `failed: 0`; failed pairs are left out of the
+statistics and make the exit status 1.
 
 Every pair is appended as one JSON line to --record (default
 <work-dir>/<workload>.jsonl). The summary prints, per metric, each side's
@@ -71,7 +70,7 @@ def summarize(pairs, specs):
             b = [p["change"]["metrics"][name]["value"] for p in good]
         except KeyError:
             continue
-        if not good:
+        if not a:
             continue
         wins = sum(1 for x, y in zip(a, b)
                    if (y < x if better == "lower" else y > x))
@@ -96,7 +95,7 @@ def format_table(summary):
     for s in summary:
         lines.append(f"{s['metric']:<34} {s['unit']:<14} "
                      f"{side(s['parent']):<30} {side(s['change']):<30} "
-                     f"{s['wins']}/{s['pairs']:<5} "
+                     f"{str(s['wins']) + '/' + str(s['pairs']):<7} "
                      f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
     return "\n".join(lines)
 
@@ -145,9 +144,9 @@ def report(pairs, pr, emit_rows):
     print(format_table(summary))
     if failed:
         print(f"# failed pairs (seeds): {failed}")
-    if emit_rows:
-        meta = dict(first, seeds=seed_label([p["seed"] for p in pairs
-                                             if pair_ok(p)] or [0]))
+    good_seeds = [p["seed"] for p in pairs if pair_ok(p)]
+    if emit_rows and good_seeds:
+        meta = dict(first, seeds=seed_label(good_seeds))
         for row in rows(summary, meta, pr):
             print(json.dumps(row))
     return 1 if failed else 0
