@@ -7,6 +7,12 @@
 
 namespace tmemo {
 
+// A batched lane retires with these aux bytes (telemetry/probe.hpp).
+static_assert(telemetry::WavefrontEvents::kNormalExecution ==
+              static_cast<std::uint8_t>(MemoAction::kNormalExecution));
+static_assert(telemetry::WavefrontEvents::kReuse ==
+              static_cast<std::uint8_t>(MemoAction::kReuse));
+
 ComputeUnit::ComputeUnit(const DeviceConfig& config, std::uint64_t seed)
     : wavefront_size_(config.wavefront_size),
       subwavefronts_(config.subwavefronts()) {
@@ -21,6 +27,27 @@ void ComputeUnit::execute_wavefront_op(
     FpOpcode op, StaticInstrId static_id, const float* a, const float* b,
     const float* c, std::uint64_t active_mask, WorkItemId base_work_item,
     const TimingErrorModel& errors, ExecutionSink* sink, float* results) {
+  // Batched (telemetry/probe.hpp): no lane can draw a timing error, take an
+  // injected fault or reuse a spatial broadcast, so each lane's only events
+  // are its lookup, LUT write and retire. Every FPU of the device shares one
+  // fault configuration.
+  if (TMEMO_TELEM_ATTACHED(probe_) && !spatial_ &&
+      !cores_.front().fpu_at(0).faults_armed() &&
+      errors.op_error_probability(opcode_unit(op)) <= 0.0) {
+    issue<true>(op, static_id, a, b, c, active_mask, base_work_item, errors,
+                sink, results);
+    return;
+  }
+  issue<false>(op, static_id, a, b, c, active_mask, base_work_item, errors,
+               sink, results);
+}
+
+template <bool kBatched>
+void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
+                        const float* b, const float* c,
+                        std::uint64_t active_mask, WorkItemId base_work_item,
+                        const TimingErrorModel& errors, ExecutionSink* sink,
+                        float* results) {
   TM_REQUIRE(results != nullptr, "results array is required");
   const int arity = opcode_arity(op);
   TM_REQUIRE(a != nullptr, "operand a is required");
@@ -30,12 +57,18 @@ void ComputeUnit::execute_wavefront_op(
   const FpuType unit = opcode_unit(op);
   const std::uint64_t lane_mask =
       wavefront_size_ >= 64 ? ~0ull : (1ull << wavefront_size_) - 1;
-  TMEMO_TELEM(probe_,
-              telemetry::ProbeEvent{
-                  telemetry::ProbeEvent::Kind::kWavefrontIssue,
-                  static_cast<std::uint8_t>(unit), 0, 0, probe_cu_,
-                  static_cast<std::uint64_t>(
-                      std::popcount(active_mask & lane_mask))});
+  if constexpr (!kBatched) {
+    TMEMO_TELEM(probe_,
+                telemetry::ProbeEvent{
+                    telemetry::ProbeEvent::Kind::kWavefrontIssue,
+                    static_cast<std::uint8_t>(unit), 0, 0, probe_cu_,
+                    static_cast<std::uint64_t>(
+                        std::popcount(active_mask & lane_mask))});
+  }
+  // A batched instruction mutes step()'s probes on the FPUs it runs on,
+  // collects its lanes' lookup and hit bits instead, and reports them in one
+  // call after the last lane.
+  telemetry::WavefrontEvents summary;
 
   // Fixed for the whole vector instruction: its error probability, depth
   // and FPU on every stream core. With no observer attached the sink is the
@@ -51,6 +84,10 @@ void ComputeUnit::execute_wavefront_op(
   // constraint reuse its broadcast result without touching their FPUs.
   SpatialMaster master;
   SpatialStats& sstats = spatial_stats_[static_cast<std::size_t>(unit)];
+
+  if constexpr (kBatched) {
+    for (StreamCore& core : cores_) core.fpu_at(fpu).set_step_probe(nullptr);
+  }
 
   const int lanes_per_sub = static_cast<int>(cores_.size());
   for (int sub = 0; sub < subwavefronts_; ++sub) {
@@ -105,6 +142,11 @@ void ComputeUnit::execute_wavefront_op(
 
       const LaneOutcome out =
           cores_[static_cast<std::size_t>(sc)].fpu_at(fpu).step(ins, p_error);
+      if constexpr (kBatched) {
+        const std::uint64_t bit = 1ull << lane;
+        if (out.memo_enabled) summary.lookup |= bit;
+        if (out.action == MemoAction::kReuse) summary.hit |= bit;
+      }
       // Committed values are exact on the non-reuse path only when the
       // temporal LUT did not approximate; arm the master with whatever was
       // committed — reusing lanes must mirror the architecture.
@@ -118,6 +160,18 @@ void ComputeUnit::execute_wavefront_op(
         sink->consume(rec);
       }
     }
+  }
+
+  if constexpr (kBatched) {
+    for (StreamCore& core : cores_) core.fpu_at(fpu).set_step_probe(probe_);
+    summary.cu = probe_cu_;
+    summary.unit = static_cast<std::uint8_t>(unit);
+    summary.depth = static_cast<std::uint8_t>(depth);
+    summary.cores = static_cast<std::uint16_t>(lanes_per_sub);
+    summary.active = active_mask & lane_mask;
+    // A powered module's error-free miss always writes the LUT.
+    summary.write = summary.lookup & ~summary.hit;
+    probe_->on_wavefront(summary);
   }
 }
 

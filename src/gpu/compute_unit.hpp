@@ -159,6 +159,13 @@ class ComputeUnit {
   void reset_spatial_stats() noexcept { spatial_stats_ = {}; }
 
  private:
+  /// execute_wavefront_op, batched or not (see telemetry/probe.hpp).
+  template <bool kBatched>
+  void issue(FpOpcode op, StaticInstrId static_id, const float* a,
+             const float* b, const float* c, std::uint64_t active_mask,
+             WorkItemId base_work_item, const TimingErrorModel& errors,
+             ExecutionSink* sink, float* results);
+
   int wavefront_size_;
   int subwavefronts_;
   std::vector<StreamCore> cores_;

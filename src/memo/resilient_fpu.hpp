@@ -194,6 +194,10 @@ class ResilientFpu {
   void set_power_gated(bool gated);
   [[nodiscard]] bool power_gated() const noexcept { return power_gated_; }
 
+  /// Fault injection or the watchdog is configured: ops may raise injected
+  /// fault events, or take a degraded path once a replay storm trips.
+  [[nodiscard]] bool faults_armed() const noexcept { return faults_armed_; }
+
   /// Attaches (nullptr detaches) a telemetry sink; `cu`/`core` identify
   /// this FPU's position for event attribution. With no sink attached the
   /// step() hot path pays one null-check per probe site (see
@@ -205,6 +209,11 @@ class ResilientFpu {
     probe_core_ = core;
     ecu_.set_probe(sink, cu, core);
   }
+
+  /// Points step()'s own probes at `sink`, leaving the ECU's alone. A
+  /// compute unit mutes them (nullptr) for the lanes of a batched
+  /// instruction, which it reports at once (telemetry/probe.hpp).
+  void set_step_probe(telemetry::ProbeSink* sink) noexcept { probe_ = sink; }
 
  private:
   /// Emission helper: stamps this FPU's identity onto a probe event.

@@ -1,6 +1,7 @@
 #include "telemetry/collector.hpp"
 
 #include <array>
+#include <bit>
 #include <string>
 
 #include "fpu/opcode.hpp"
@@ -121,14 +122,7 @@ void TelemetryCollector::on_event(const ProbeEvent& e) {
       action_counter(e.aux).add();
       histogram(op_latency_, "fpu.op_latency_cycles", kLog2Spec)
           .record(e.value);
-      CoreState& core = core_state(e);
-      if (core.replay_in_op) {
-        core.replay_in_op = false;
-        ++core.replay_burst;
-      } else if (core.replay_burst > 0) {
-        record_burst(core.replay_burst);
-        core.replay_burst = 0;
-      }
+      retire_on(core_state(e));
       ++tick_;
       break;
     }
@@ -153,6 +147,100 @@ void TelemetryCollector::on_event(const ProbeEvent& e) {
     case ProbeEvent::Kind::kSdcCommit:
       counter(sdc_commits_, "inject.sdc.committed_ops").add();
       break;
+  }
+}
+
+void TelemetryCollector::on_wavefront(const WavefrontEvents& w) {
+  const auto count = [](std::uint64_t mask) {
+    return static_cast<std::uint64_t>(std::popcount(mask));
+  };
+  const std::uint64_t lanes = count(w.active);
+  const std::uint64_t hits = count(w.hit);
+  const std::uint64_t misses = count(w.lookup & ~w.hit);
+  const std::uint64_t writes = count(w.write);
+  // Core c runs lanes c, c + cores, c + 2 * cores, ...
+  std::uint64_t stride = 0;
+  std::uint64_t cores_used = 0;
+  for (unsigned lane = 0; lane < 64; lane += w.cores) {
+    stride |= 1ull << lane;
+    cores_used |= w.active >> lane;
+  }
+  cores_used &= w.cores >= 64 ? ~0ull : (1ull << w.cores) - 1;
+
+  // Fold only once every instrument and per-core slot the fold touches
+  // exists. Until then the per-lane events create them, so the collector
+  // allocates in exactly the order it does for an unbatched stream; peak
+  // RSS depends on that order through the heap's layout.
+  const auto has = [](std::uint64_t n, const void* slot) {
+    return n == 0 || slot != nullptr;
+  };
+  const std::array<Counter*, 3>* unit =
+      w.unit < kNumFpuTypes ? &unit_counters_[w.unit] : nullptr;
+  if (unit == nullptr || !has(lanes, lanes_executed_) ||
+      !has(lanes, op_latency_) || !has(lanes, (*unit)[kUnitOps]) ||
+      !has(hits, lut_hits_) || !has(hits, (*unit)[kUnitHits]) ||
+      !has(hits, action_counters_[WavefrontEvents::kReuse]) ||
+      !has(misses, lut_misses_) || !has(misses, (*unit)[kUnitMisses]) ||
+      !has(writes, lut_writes_) ||
+      !has(lanes - hits, action_counters_[WavefrontEvents::kNormalExecution]) ||
+      w.cu >= cus_.size() ||
+      cus_[w.cu].cores.size() <
+          static_cast<std::size_t>(std::bit_width(cores_used))) {
+    ProbeSink::on_wavefront(w);
+    return;
+  }
+
+  on_event(ProbeEvent{ProbeEvent::Kind::kWavefrontIssue, w.unit, 0, 0, w.cu,
+                      lanes});
+  if (hits > 0) {
+    lut_hits_->add(hits);
+    (*unit)[kUnitHits]->add(hits);
+    action_counters_[WavefrontEvents::kReuse]->add(hits);
+  }
+  if (misses > 0) {
+    lut_misses_->add(misses);
+    (*unit)[kUnitMisses]->add(misses);
+  }
+  if (writes > 0) lut_writes_->add(writes);
+  if (hits < lanes) {
+    action_counters_[WavefrontEvents::kNormalExecution]->add(lanes - hits);
+  }
+  if (lanes > 0) {
+    lanes_executed_->add(lanes);
+    (*unit)[kUnitOps]->add(lanes);
+    op_latency_->record(w.depth, lanes);
+  }
+
+  std::vector<CoreState>& cores = cus_[w.cu].cores;
+  for (std::uint64_t left = cores_used; left != 0; left &= left - 1) {
+    const int c = std::countr_zero(left);
+    const std::uint64_t on_core = stride << c;
+    CoreState& core = cores[static_cast<std::size_t>(c)];
+    core.lut_lookups += count(w.lookup & on_core);
+    core.lut_hits += count(w.hit & on_core);
+    // A second retire on the core ends whatever burst the first one left
+    // open; later ones find nothing to do.
+    retire_on(core);
+    if (count(w.active & on_core) > 1) retire_on(core);
+  }
+
+  if (timeline_) {
+    PendingOp& op = pending(w.cu);
+    op.hits += hits;
+    op.misses += misses;
+    op.cum_hits += hits;
+    op.cum_misses += misses;
+  }
+  tick_ += lanes;
+}
+
+void TelemetryCollector::retire_on(CoreState& core) {
+  if (core.replay_in_op) {
+    core.replay_in_op = false;
+    ++core.replay_burst;
+  } else if (core.replay_burst > 0) {
+    record_burst(core.replay_burst);
+    core.replay_burst = 0;
   }
 }
 

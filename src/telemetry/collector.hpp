@@ -52,6 +52,11 @@ class TelemetryCollector final : public ProbeSink {
   explicit TelemetryCollector(CollectorConfig config = {});
 
   void on_event(const ProbeEvent& event) override;
+  /// Folds a batched instruction in O(stream cores), leaving the registry
+  /// and timeline exactly as its expanded per-lane events would. Until the
+  /// instruments and per-core slots it touches exist, it takes those
+  /// events instead.
+  void on_wavefront(const WavefrontEvents& w) override;
 
   /// The registry backing this collector; callers may add their own
   /// instruments (Simulation::run sets the run.* configuration gauges).
@@ -135,6 +140,8 @@ class TelemetryCollector final : public ProbeSink {
   /// action.
   Counter& action_counter(std::uint8_t aux);
   void record_burst(std::uint64_t length);
+  /// The replay-burst bookkeeping of one retire on `core`.
+  void retire_on(CoreState& core);
   void mark(std::string_view name, std::string_view category,
             const ProbeEvent& e, const char* arg);
   void flush_op(std::uint32_t cu, PendingOp& op);

@@ -88,10 +88,13 @@ struct HistogramSpec {
 /// Fixed-bucket distribution of uint64 samples.
 class Histogram {
  public:
-  void record(std::uint64_t v) noexcept {
-    ++buckets_[spec_.index(v)];
-    ++count_;
-    sum_ += v;
+  void record(std::uint64_t v) noexcept { record(v, 1); }
+  /// record(v), `n` times over.
+  void record(std::uint64_t v, std::uint64_t n) noexcept {
+    if (n == 0) return;
+    buckets_[spec_.index(v)] += n;
+    count_ += n;
+    sum_ += v * n;
     if (v < min_) min_ = v;
     if (v > max_) max_ = v;
   }

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "fpu/opcode.hpp"
 #include "memo/module.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/probe.hpp"
+#include "telemetry/timeline.hpp"
 
 namespace tmemo::telemetry {
 namespace {
@@ -146,6 +152,75 @@ TEST(TelemetryCollector, MetricsOnlyModeHasNoTimeline) {
   col.on_event(event(ProbeEvent::Kind::kLutHit));
   (void)col.finish();
   EXPECT_EQ(col.take_timeline(), nullptr);
+}
+
+// -- Batched instructions ----------------------------------------------------
+
+/// Hands every event to `target` and overrides nothing else, so a summary
+/// reaches `target` through ProbeSink's default per-lane expansion.
+class Expanding final : public ProbeSink {
+ public:
+  explicit Expanding(TelemetryCollector& target) : target_(target) {}
+  void on_event(const ProbeEvent& e) override { target_.on_event(e); }
+
+ private:
+  TelemetryCollector& target_;
+};
+
+std::string exported(TelemetryCollector& col) {
+  std::ostringstream os;
+  write_metrics_json(col.finish(), os);
+  write_chrome_trace(*col.take_timeline(), os);
+  return os.str();
+}
+
+TEST(TelemetryCollector, WavefrontSummaryFoldsLikeItsExpansion) {
+  using Kind = ProbeEvent::Kind;
+  const auto tail = static_cast<std::uint8_t>(MemoAction::kTriggerRecovery);
+  const auto replay = [](std::uint16_t core) {
+    return event(Kind::kEcuReplay, 12, 0, 1, core);
+  };
+  const auto retire = [tail](std::uint16_t core) {
+    return event(Kind::kOpRetired, 15, tail, 1, core);
+  };
+  // Core 0 retires lanes 0 and 16, core 1 lanes 1 and 17, core 3 lane 3,
+  // core 5 lanes 5 and 21; the module is off on lane 3.
+  WavefrontEvents w{.cu = 1,
+                    .unit = static_cast<std::uint8_t>(FpuType::kMul),
+                    .depth = 4,
+                    .cores = 16};
+  w.active = (1ull << 0) | (1ull << 16) | (1ull << 1) | (1ull << 17) |
+             (1ull << 3) | (1ull << 5) | (1ull << 21);
+  w.lookup = w.active & ~(1ull << 3);
+  w.hit = (1ull << 16) | (1ull << 21);
+  w.write = w.lookup & ~w.hit;
+  const WavefrontEvents empty{.cu = 1, .depth = 4, .cores = 16};
+
+  TelemetryCollector direct({.timeline = true});
+  TelemetryCollector expanded_into({.timeline = true});
+  Expanding expanded(expanded_into);
+  for (ProbeSink* sink : {static_cast<ProbeSink*>(&direct),
+                          static_cast<ProbeSink*>(&expanded)}) {
+    sink->on_event(event(Kind::kWavefrontIssue, 2, 0, 1));
+    sink->on_event(event(Kind::kLutMiss, 0, 0, 1, 0));
+    // The first summary finds the MUL counters missing, so the collector
+    // takes it lane by lane; the later ones it folds.
+    sink->on_wavefront(w);
+    // Open replay state the next summary must close: a replay with no
+    // retire yet on core 0 (two lanes), a finished burst on core 3 (one).
+    sink->on_event(replay(0));
+    sink->on_event(replay(3));
+    sink->on_event(retire(3));
+    sink->on_wavefront(w);
+    // Core 0's second lane closed the burst its first lane extended, so
+    // this replay starts a new one.
+    sink->on_event(replay(0));
+    sink->on_event(retire(0));
+    sink->on_wavefront(empty);
+    sink->on_wavefront(w);
+    sink->on_event(event(Kind::kWavefrontIssue, 0, 0, 1));
+  }
+  EXPECT_EQ(exported(direct), exported(expanded_into));
 }
 
 // -- The TMEMO_TELEM contract ------------------------------------------------

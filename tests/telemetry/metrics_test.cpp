@@ -137,6 +137,22 @@ TEST(Histogram, RecordTracksMomentsAndEmptyMinIsZero) {
   EXPECT_EQ(h.buckets()[h.spec().index(9)], 1u); // [8,15]
 }
 
+TEST(Histogram, RecordNTimesEqualsNSingleRecords) {
+  MetricRegistry reg;
+  Histogram& once = reg.histogram("once", HistogramSpec::log2());
+  Histogram& batch = reg.histogram("batch", HistogramSpec::log2());
+  for (int i = 0; i < 5; ++i) once.record(6);
+  once.record(2);
+  batch.record(6, 5);
+  batch.record(2, 1);
+  batch.record(1, 0); // no samples: min stays 2
+  EXPECT_EQ(batch.buckets(), once.buckets());
+  EXPECT_EQ(batch.count(), 6u);
+  EXPECT_EQ(batch.sum(), once.sum());
+  EXPECT_EQ(batch.min(), 2u);
+  EXPECT_EQ(batch.max(), 6u);
+}
+
 // -- Snapshot merge ---------------------------------------------------------
 
 MetricsSnapshot make_shard(std::uint64_t counter_v, std::uint64_t gauge_v,

@@ -2,10 +2,14 @@
 //
 // PinnedStream hashes (FNV-1a) every event a fixed ComputeUnit program
 // raises, as an on_event-only sink sees it, with and without timing
-// errors, injected faults and spatial memoization. SinkEquivalence runs
-// the seven Table-1 kernels with a TelemetryCollector attached directly
-// and behind an on_event-only pass-through; both must export the same
-// bytes, and those bytes are pinned too.
+// errors, injected faults and spatial memoization: the error-free cases
+// arrive as batched wavefront summaries (ProbeSink::on_wavefront) and the
+// others as per-lane events, and the digests were taken before batching
+// existed. SinkEquivalence runs the seven Table-1 kernels with a
+// TelemetryCollector attached directly, so it folds each summary itself,
+// and behind an on_event-only pass-through, so it sees the expanded
+// stream; both must export the same bytes, and those bytes are pinned
+// too.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -67,9 +71,14 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-/// Hashes every event it is handed.
+/// Hashes every event it is handed, counting the batched instructions it
+/// receives through ProbeSink's default per-lane expansion.
 class StreamHash final : public telemetry::ProbeSink {
  public:
+  void on_wavefront(const telemetry::WavefrontEvents& w) override {
+    ++batched;
+    ProbeSink::on_wavefront(w);
+  }
   void on_event(const ProbeEvent& e) override {
     ++events;
     h.u64(static_cast<std::uint8_t>(e.kind), 1);
@@ -81,6 +90,7 @@ class StreamHash final : public telemetry::ProbeSink {
   }
   Fnv1a h;
   std::uint64_t events = 0;
+  std::uint64_t batched = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -93,6 +103,7 @@ struct StreamCase {
   double rate = 0.0;
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
+  bool batched = false; ///< every instruction reaches on_wavefront
 };
 
 // Prints the case as its name, so the listed test IDs carry no raw bytes.
@@ -130,6 +141,7 @@ TEST_P(PinnedStream, MatchesItsDigest) {
     cu.execute_wavefront_op(op, sid, a.data(), b.data(), c.data(), mask, 0,
                             errors, &acc, out.data());
   }
+  EXPECT_EQ(log.batched, sc.batched ? 300u : 0u);
   EXPECT_EQ(log.events, sc.events);
   EXPECT_EQ(log.h.value(), sc.digest) << "actual " << hex(log.h.value());
 }
@@ -138,7 +150,8 @@ std::vector<StreamCase> stream_cases() {
   std::vector<StreamCase> s;
   s.push_back({.name = "RateZero",
                .digest = 0x27ea562553d87d50ull,
-               .events = 38932});
+               .events = 38932,
+               .batched = true});
   // Lookup and write masks that differ from the active mask: the module is
   // off on odd stream cores and power-gated on core 4.
   s.push_back({.name = "RateZeroThresholdMemoOffOddCores",
@@ -153,11 +166,13 @@ std::vector<StreamCase> stream_cases() {
                      }
                    },
                .digest = 0xaf0edca05479ce42ull,
-               .events = 25268});
+               .events = 25268,
+               .batched = true});
   s.push_back({.name = "RateZeroNarrowWavefront",
                .configure = [](DeviceConfig& c) { c.wavefront_size = 32; },
                .digest = 0x30f0f812721d6dacull,
-               .events = 20609});
+               .events = 20609,
+               .batched = true});
   s.push_back({.name = "Rate2pct",
                .rate = 0.02,
                .digest = 0x3cc643d86e1f5415ull,
