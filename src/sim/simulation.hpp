@@ -119,8 +119,8 @@ class Simulation {
 
   // The pre-RunSpec entry points (run_at_error_rate / run_at_voltage and
   // the model+supply run() overload) lived here as deprecated forwarders
-  // for one release cycle and have been removed; lint rule R5
-  // (deprecated-run-api) keeps them from coming back.
+  // for one release cycle and have been removed; run(workload, spec)
+  // above is the only entry point, so a stale call does not compile.
 
  private:
   ExperimentConfig config_;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,9 @@ struct LaneScenario {
   Volt supply = 0.9;
   bool probe = false;
 };
+
+// Prints the case as its name, so the listed test IDs carry no raw bytes.
+void PrintTo(const LaneScenario& s, std::ostream* os) { *os << s.name; }
 
 template <typename T>
 bool same_bytes(const T& x, const T& y) {

@@ -64,12 +64,6 @@ TEST(LintRules, R4FlagsExecutePathsThatNeverChargeEnergy) {
             std::string::npos);
 }
 
-TEST(LintRules, R5FlagsEveryDeprecatedWrapperMention) {
-  const LintReport r = run_lint({fixture("bad/r5_deprecated.cpp")});
-  EXPECT_EQ(r.findings.size(), 4u);
-  EXPECT_EQ(count_rule(r, "deprecated-run-api"), 4u);
-}
-
 TEST(LintRules, R6FlagsUnseededRngConstruction) {
   const LintReport r = run_lint({fixture("bad/r6_rng.cpp")});
   EXPECT_EQ(r.findings.size(), 4u);
@@ -193,11 +187,11 @@ TEST(LintRules, IndexRuleGoodFixtureIsFullyClean) {
 
 TEST(LintRules, WholeBadTreeCountsAreStable) {
   const LintReport r = run_lint({fixture("bad")});
-  // 5 (R1) + 3 (R2) + 2 (R3) + 1 (R4) + 4 (R5) + 4 (R6) + 3 (R7)
-  // + 2 (R8) + 6 (R9) + 4 (R10 pipe) + 10 (R10 socket) + 4 (R11)
-  // + 4 (R12) + 4 (R13) + 3 (R14) + 2 (orphans).
-  EXPECT_EQ(r.findings.size(), 61u);
-  EXPECT_EQ(r.files_scanned, 16u);
+  // 5 (R1) + 3 (R2) + 2 (R3) + 1 (R4) + 4 (R6) + 3 (R7) + 2 (R8)
+  // + 6 (R9) + 4 (R10 pipe) + 10 (R10 socket) + 4 (R11) + 4 (R12)
+  // + 4 (R13) + 3 (R14) + 2 (orphans).
+  EXPECT_EQ(r.findings.size(), 57u);
+  EXPECT_EQ(r.files_scanned, 15u);
   // One justified suppression per R9-R13 plus the socket fixture's and
   // the R14 fixture's.
   EXPECT_EQ(r.suppressed, 7u);
@@ -485,7 +479,7 @@ TEST(LintSarif, ReportValidatesAgainstTheSarif210Shape) {
     rule_ids.push_back(rule.at("id").string);
     EXPECT_FALSE(rule.at("shortDescription").at("text").string.empty());
   }
-  EXPECT_EQ(rule_ids.size(), 18u);  // R1-R14 + 4 meta rules
+  EXPECT_EQ(rule_ids.size(), 17u);  // R1-R4, R6-R14 + 4 meta rules
   for (const char* id :
        {"pod-protocol", "syscall-discipline", "probe-cost",
         "campaign-determinism", "float-equality", "artifact-durability",
@@ -496,7 +490,7 @@ TEST(LintSarif, ReportValidatesAgainstTheSarif210Shape) {
   }
 
   const Json& results = run.at("results");
-  EXPECT_EQ(results.array.size(), 61u);  // matches WholeBadTreeCounts
+  EXPECT_EQ(results.array.size(), 57u);  // matches WholeBadTreeCounts
   for (const Json& res : results.array) {
     EXPECT_NE(std::find(rule_ids.begin(), rule_ids.end(),
                         res.at("ruleId").string),
@@ -582,7 +576,7 @@ TEST(LintCli, ListRulesNamesEveryRule) {
   const std::string text = out.str();
   for (const char* rule :
        {"nondeterminism", "unordered-iteration", "type-punning",
-        "energy-pairing", "deprecated-run-api", "rng-seed",
+        "energy-pairing", "rng-seed",
         "telemetry-registry", "injection-seeding", "pod-protocol",
         "syscall-discipline", "probe-cost", "campaign-determinism",
         "float-equality", "artifact-durability", "orphan-suppression"}) {
@@ -601,10 +595,9 @@ TEST(LintRepo, SrcToolsBenchAreCleanUnderAllRules) {
   EXPECT_TRUE(r.findings.empty()) << why.str();
   // The justified suppressions inventoried in docs/STATIC_ANALYSIS.md and
   // tools/lint/lint_baseline.txt: FpuPipeline::issue (energy-pairing), the
-  // executor's predicate-register test and the SETE/SETNE ISA comparisons
-  // (float-equality), the lint cache and the bench append-mode metrics log
-  // (artifact-durability).
-  EXPECT_EQ(r.suppressed, 6u);
+  // SETE/SETNE ISA comparisons (float-equality), the lint cache and the
+  // bench append-mode metrics log (artifact-durability).
+  EXPECT_EQ(r.suppressed, 5u);
   EXPECT_GT(r.files_scanned, 100u);
 }
 
@@ -617,7 +610,7 @@ TEST(LintRepo, SuppressionBaselineGateIsGreen) {
   std::ostringstream why;
   write_text(r, why);
   EXPECT_TRUE(r.findings.empty()) << why.str();
-  EXPECT_EQ(r.suppressed, 6u);
+  EXPECT_EQ(r.suppressed, 5u);
   EXPECT_EQ(exit_code(r), 0);
 }
 

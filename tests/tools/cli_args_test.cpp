@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <sys/wait.h>
 
@@ -52,6 +53,9 @@ struct BadCase {
   const char* name;
   const char* args;
 };
+
+// Prints the case as its name, so the listed test IDs carry no raw bytes.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 // Each entry must be rejected: unknown flags, missing values, malformed
 // numerics, out-of-range values, and inconsistent flag combinations.
