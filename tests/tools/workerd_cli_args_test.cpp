@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
-#include <ostream>
 #include <string>
 #include <sys/wait.h>
 
@@ -48,9 +47,6 @@ struct BadCase {
   const char* name;
   const char* args;
 };
-
-// Prints the case as its name, so the listed test IDs carry no raw bytes.
-void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 // ---------------------------------------------------------------------------
 // tmemo_workerd.
